@@ -26,7 +26,6 @@ from .baseline import (
 from .core import (
     GaussianTaskSpec,
     WorldModel,
-    clamp01,
     make_gaussian_task,
     make_rng,
     spawn_rng,
@@ -37,7 +36,6 @@ from .mcmc import (
     SelectionConfig,
     anneal_gamma,
     mh_accept_prob,
-    propose,
     run_action_chain,
     run_selection_chain,
 )

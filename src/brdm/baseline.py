@@ -126,24 +126,28 @@ def _kl_rows_nats(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def mutual_information(rho: np.ndarray, cond: np.ndarray) -> float:
     """I(W;A) in bits for channel rows ``cond`` against the induced marginal.
 
-    Works on the joint rho(w) p(a|w): any cell of the joint that rounds to
-    zero is absent from the induced marginal as well, so no spurious
-    infinities can arise from denormal channel entries.
+    Sums joint * log2(cond / marginal) over the cells where the joint
+    rho(w) p(a|w) is positive. There the marginal is at least the joint, so
+    the ratio stays finite even when a column's only mass is denormal
+    (dividing by rho * marginal instead would underflow to zero).
     """
     rho = np.asarray(rho, dtype=float)
     cond = np.asarray(cond, dtype=float)
     joint = rho[:, None] * cond
     marginal = joint.sum(axis=0)
-    outer = rho[:, None] * marginal[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(joint > 0.0, joint * np.log2(joint / outer), 0.0)
+        terms = np.where(joint > 0.0, joint * np.log2(cond / marginal[None, :]), 0.0)
     return float(terms.sum())
+
+
+def _table_expected_utility(rho: np.ndarray, cond: np.ndarray, table: np.ndarray) -> float:
+    """E_{rho, p(a|w)}[U(w, a)] from a precomputed utility table."""
+    return float(rho @ (cond * table).sum(axis=1))
 
 
 def expected_utility(world: WorldModel, policy: DiscretePolicy) -> float:
     """E_{rho, p(a|w)}[U(w, a)] on the policy's grid."""
-    table = utility_table(world, policy.grid)
-    return float(world.rho @ (policy.cond * table).sum(axis=1))
+    return _table_expected_utility(world.rho, policy.cond, utility_table(world, policy.grid))
 
 
 def free_energy(world: WorldModel, policy: DiscretePolicy, beta: float) -> float:
@@ -370,6 +374,7 @@ def rate_distortion_curve(
     betas = [float(b) for b in betas]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be sorted ascending")
+    table = utility_table(world, action_grid(grid_size))
     points: list[FrontierPoint] = []
     warm: np.ndarray | None = None
     for beta in betas:
@@ -381,7 +386,7 @@ def rate_distortion_curve(
             FrontierPoint(
                 beta=beta,
                 mutual_info_bits=mutual_information(world.rho, policy.cond),
-                expected_utility=expected_utility(world, policy),
+                expected_utility=_table_expected_utility(world.rho, policy.cond, table),
                 converged=policy.converged,
             )
         )

@@ -104,8 +104,14 @@ def cmd_baseline(cfg: ExperimentConfig, force: bool = False) -> Path:
 
 
 def cmd_run(cfg: ExperimentConfig, force: bool = False) -> Path:
-    """Train every sweep cell; write per-cell episode logs and summary.csv."""
+    """Train every sweep cell; write per-cell episode logs and summary.csv.
+
+    Episode logs left by an earlier sweep in the directory are removed first,
+    so the logs present afterwards are exactly this sweep's cells.
+    """
     out = _prepare_out_dir(cfg.out, force)
+    for stale in out.glob("episodes_*.csv"):
+        stale.unlink()
     rows = run_sweep(cfg, out_dir=out, workers=cfg.workers or None)
     with open(out / SUMMARY_CSV, "w", newline="\n") as fh:
         write_summary_csv(rows, fh)

@@ -19,7 +19,9 @@ from typing import Callable
 import numpy as np
 
 # A world's utility is evaluated as utility(world_index, action) -> float,
-# with action a float vector of shape (action_dim,) inside [0, 1]^d.
+# with action a float vector of shape (action_dim,) inside [0, 1]^d. Callers
+# may reuse that array and overwrite it after the call returns, so a utility
+# must copy it if it keeps it.
 UtilityFn = Callable[[int, np.ndarray], float]
 
 
@@ -104,8 +106,3 @@ def make_gaussian_task(spec: GaussianTaskSpec) -> WorldModel:
 
     rho = np.full(spec.num_worlds, 1.0 / spec.num_worlds)
     return WorldModel(num_worlds=spec.num_worlds, rho=rho, utility=utility, action_dim=1)
-
-
-def clamp01(a: np.ndarray) -> np.ndarray:
-    """Componentwise clamp into the action box [0, 1]^d."""
-    return np.clip(np.asarray(a, dtype=float), 0.0, 1.0)

@@ -91,15 +91,10 @@ def mh_accept_prob(u_new: float, u_old: float, gamma: float) -> float:
     return math.exp(x)
 
 
-def reflect01(a: np.ndarray) -> np.ndarray:
-    """Fold each coordinate back into [0, 1] by reflection at the walls."""
-    r = np.remainder(a, 2.0)
-    return np.where(r > 1.0, 2.0 - r, r)
-
-
-def propose(a: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric Gaussian step from ``a``, reflected into the box."""
-    return reflect01(a + rng.normal(0.0, sigma, size=np.shape(a)))
+def reflect01(x: float) -> float:
+    """Fold a coordinate back into [0, 1] by reflection at the walls."""
+    r = x % 2.0
+    return 2.0 - r if r > 1.0 else r
 
 
 def run_action_chain(
@@ -110,32 +105,42 @@ def run_action_chain(
     rng: np.random.Generator,
     record_trace: bool = True,
 ) -> ChainResult:
-    """Anneal an MH chain over U(w, .) for cfg.n_max steps from ``seed_action``."""
-    a = np.asarray(seed_action, dtype=float).copy()
-    u = world.utility(w, a)
-    seed_u = u
+    """Anneal an MH chain over U(w, .) for cfg.n_max steps from ``seed_action``.
 
+    The noise and uniforms are drawn as two blocks up front; the steps then
+    run on Python floats. Each proposal is written into one reused buffer,
+    which is the array ``world.utility`` receives.
+    """
+    buf = np.array(seed_action, dtype=float)
+    u = world.utility(w, buf)
+    seed_u = u
+    state = buf.tolist()
+
+    d = len(state)
     n = cfg.n_max
-    noise = rng.normal(0.0, cfg.proposal_sigma, size=(n, a.size))
-    log_unif = np.log(rng.random(n))
+    noise = rng.normal(0.0, cfg.proposal_sigma, size=(n, d)).tolist()
+    log_unif = np.log(rng.random(n)).tolist()
     gamma0, alpha = cfg.gamma0, cfg.alpha
+    utility = world.utility
+    dims = range(d)
 
     trace: list[tuple[np.ndarray, float, bool]] = []
     accepted = 0
-    for k in range(n):
-        gamma = gamma0 + alpha * math.log1p(k)
-        prop = reflect01(a + noise[k])
-        pu = world.utility(w, prop)
+    for k, (step, lu) in enumerate(zip(noise, log_unif)):
+        prop = [0.0] * d
+        for i in dims:
+            prop[i] = buf[i] = reflect01(state[i] + step[i])
+        pu = utility(w, buf)
         du = pu - u
-        ok = du >= 0.0 or log_unif[k] < gamma * du
+        ok = du >= 0.0 or lu < (gamma0 + alpha * math.log1p(k)) * du
         if ok:
-            a, u = prop, pu
+            state, u = prop, pu
             accepted += 1
         if record_trace:
-            trace.append((prop, pu, ok))
+            trace.append((np.array(prop), pu, ok))
 
     return ChainResult(
-        decision=a,
+        decision=np.array(state),
         trace=tuple(trace),
         evaluations=n + 1,
         acceptance_rate=accepted / n,
@@ -164,13 +169,12 @@ def run_selection_chain(
         return x
 
     est = [float(v) for v in candidate_estimates]
-    props = rng.integers(0, num, size=cfg.n_max_sel)
-    log_unif = np.log(rng.random(cfg.n_max_sel))
-    for k in range(cfg.n_max_sel):
-        gamma = cfg.gamma_sel0 + cfg.alpha_sel * math.log1p(k)
-        xp = int(props[k])
+    props = rng.integers(0, num, size=cfg.n_max_sel).tolist()
+    log_unif = np.log(rng.random(cfg.n_max_sel)).tolist()
+    gamma0, alpha = cfg.gamma_sel0, cfg.alpha_sel
+    for k, (xp, lu) in enumerate(zip(props, log_unif)):
         du = est[xp] - est[x]
-        if du >= 0.0 or log_unif[k] < gamma * du:
+        if du >= 0.0 or lu < (gamma0 + alpha * math.log1p(k)) * du:
             x = xp
     return x
 

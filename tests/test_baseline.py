@@ -103,6 +103,14 @@ def test_mutual_information_cases():
     assert got == pytest.approx(0.531, abs=5e-4)
 
 
+def test_mutual_information_finite_with_denormal_column():
+    # column 6 holds only a denormal entry, so rho * marginal underflows to 0
+    cond = np.eye(6, 7)
+    cond[0, 6] = 3e-323
+    got = mutual_information(np.full(6, 1 / 6), cond)
+    assert got == pytest.approx(math.log2(6), abs=1e-12)
+
+
 def test_expected_utility_uniform_policy_matches_summation_oracle():
     spec = GaussianTaskSpec(width=0.05)
     task = make_gaussian_task(spec)

@@ -211,6 +211,27 @@ def test_cmd_run_refuses_nonempty_dir(tmp_path):
     cmd_run(cfg, force=True)
 
 
+def test_run_force_removes_stale_episode_logs(tmp_path):
+    def config(totals):
+        path = tmp_path / f"t{totals}.cfg"
+        path.write_text(
+            f"episodes = 20\ntotal_steps = {totals}\nselection_steps = 3\n"
+            "replicates = 1\nagent_kinds = single\nworkers = 1\n"
+        )
+        return str(path)
+
+    out = tmp_path / "run"
+    assert main(["run", "--config", config("10, 12"), "--out", str(out)]) == 0
+    assert len(list(out.glob("episodes_*.csv"))) == 2
+    (out / "notes.txt").write_text("kept")
+    assert main(["run", "--config", config("12"), "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.glob("episodes_*.csv")) == [
+        "episodes_single_t12_a12_r0.csv"
+    ]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert len(read_summary_csv(out / "summary.csv")) == 1
+
+
 def _run_and_baseline(out):
     cmd_run(small_config(out=str(out)))
     cmd_baseline(small_config(out=str(out)), force=True)

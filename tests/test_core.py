@@ -6,7 +6,6 @@ import pytest
 from brdm.core import (
     GaussianTaskSpec,
     WorldModel,
-    clamp01,
     make_gaussian_task,
     make_rng,
     spawn_rng,
@@ -62,12 +61,6 @@ def test_world_model_validates_rho():
         WorldModel(num_worlds=2, rho=np.array([0.6, 0.6]), utility=util)
     with pytest.raises(ValueError):
         WorldModel(num_worlds=2, rho=np.array([1.2, -0.2]), utility=util)
-
-
-def test_clamp01():
-    assert clamp01(np.array([0.5]))[0] == 0.5
-    assert clamp01(np.array([-0.2]))[0] == 0.0
-    assert clamp01(np.array([1.7]))[0] == 1.0
 
 
 def test_rng_reproducibility():

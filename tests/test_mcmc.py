@@ -7,11 +7,11 @@ import pytest
 from brdm.core import GaussianTaskSpec, WorldModel, make_gaussian_task, make_rng
 from brdm.mcmc import (
     ChainConfig,
+    ChainResult,
     SelectionConfig,
     anneal_gamma,
     dump_trace,
     mh_accept_prob,
-    propose,
     reflect01,
     run_action_chain,
     run_selection_chain,
@@ -42,23 +42,12 @@ def test_mh_accept_prob():
 
 
 def test_reflection():
-    assert reflect01(np.array([-0.1]))[0] == pytest.approx(0.1)
-    assert reflect01(np.array([1.7]))[0] == pytest.approx(0.3)
-    assert reflect01(np.array([2.3]))[0] == pytest.approx(0.3)
-    assert reflect01(np.array([0.5]))[0] == 0.5
-
-
-def test_propose_degenerate_sigma():
-    rng = make_rng(0)
-    a = np.array([0.42])
-    assert abs(propose(a, 1e-12, rng)[0] - 0.42) < 1e-9
-
-
-def test_propose_stays_in_box():
-    rng = make_rng(1)
-    for a0 in (0.0, 0.02, 0.5, 0.98, 1.0):
-        draws = np.array([propose(np.array([a0]), 0.3, rng)[0] for _ in range(2000)])
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
+    assert reflect01(-0.1) == pytest.approx(0.1)
+    assert reflect01(1.7) == pytest.approx(0.3)
+    assert reflect01(2.3) == pytest.approx(0.3)
+    assert reflect01(0.5) == 0.5
+    assert reflect01(1.0) == 1.0
+    assert reflect01(-2.0) == 0.0
 
 
 def test_propose_empirical_symmetry():
@@ -67,11 +56,93 @@ def test_propose_empirical_symmetry():
     rng = make_rng(77)
     dens, ses = [], []
     for a, b in ((0.2, 0.4), (0.4, 0.2)):
-        draws = reflect01(a + rng.normal(0.0, sigma, n))
+        draws = np.array([reflect01(a + e) for e in rng.normal(0.0, sigma, n).tolist()])
         p = (np.abs(draws - b) <= h).mean()
         dens.append(p / (2 * h))
         ses.append(math.sqrt(p * (1 - p) / n) / (2 * h))
     assert abs(dens[0] - dens[1]) <= 3.0 * math.hypot(ses[0], ses[1])
+
+
+def _reference_reflect01(a):
+    r = np.remainder(a, 2.0)
+    return np.where(r > 1.0, 2.0 - r, r)
+
+
+def _reference_action_chain(world, w, seed_action, cfg, rng, record_trace=True):
+    """The earlier numpy implementation of run_action_chain, kept as the oracle."""
+    a = np.asarray(seed_action, dtype=float).copy()
+    u = world.utility(w, a)
+    seed_u = u
+
+    n = cfg.n_max
+    noise = rng.normal(0.0, cfg.proposal_sigma, size=(n, a.size))
+    log_unif = np.log(rng.random(n))
+    gamma0, alpha = cfg.gamma0, cfg.alpha
+
+    trace = []
+    accepted = 0
+    for k in range(n):
+        gamma = gamma0 + alpha * math.log1p(k)
+        prop = _reference_reflect01(a + noise[k])
+        pu = world.utility(w, prop)
+        du = pu - u
+        ok = du >= 0.0 or log_unif[k] < gamma * du
+        if ok:
+            a, u = prop, pu
+            accepted += 1
+        if record_trace:
+            trace.append((prop, pu, ok))
+
+    return ChainResult(
+        decision=a,
+        trace=tuple(trace),
+        evaluations=n + 1,
+        acceptance_rate=accepted / n,
+        decision_utility=u,
+        seed_utility=seed_u,
+    )
+
+
+def _plane_task():
+    """Two-dimensional bumps; the utility checks the array it is handed."""
+    centers = [(0.2, 0.7), (0.8, 0.3), (0.5, 0.5)]
+
+    def utility(w, a):
+        assert isinstance(a, np.ndarray) and a.shape == (2,)
+        cx, cy = centers[w]
+        return math.exp(-((a[0] - cx) ** 2 + (a[1] - cy) ** 2) / 0.045)
+
+    return WorldModel(num_worlds=3, rho=np.full(3, 1 / 3), utility=utility, action_dim=2)
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_action_chain_matches_reference_implementation(gaussian_task, dim, record_trace):
+    world = gaussian_task if dim == 1 else _plane_task()
+    for seed in range(500):
+        cfg = ChainConfig(
+            gamma0=(0.5, 1.0, 3.0)[seed % 3],
+            n_max=(1, 7, 75, 200)[seed % 4],
+            proposal_sigma=(0.05, 0.1, 0.7)[seed % 3],
+        )
+        setup = make_rng(10_000 + seed)
+        w = int(setup.integers(world.num_worlds))
+        seed_action = setup.random(dim)
+        rng_ref, rng_new = make_rng(seed), make_rng(seed)
+        ref = _reference_action_chain(world, w, seed_action, cfg, rng_ref, record_trace)
+        got = run_action_chain(world, w, seed_action, cfg, rng_new, record_trace)
+
+        assert got.decision.dtype == ref.decision.dtype
+        assert np.array_equal(got.decision, ref.decision)
+        assert got.decision_utility == ref.decision_utility
+        assert got.seed_utility == ref.seed_utility
+        assert got.acceptance_rate == ref.acceptance_rate
+        assert got.evaluations == ref.evaluations
+        assert len(got.trace) == len(ref.trace) == (cfg.n_max if record_trace else 0)
+        for (a1, u1, ok1), (a2, u2, ok2) in zip(got.trace, ref.trace):
+            assert np.array_equal(a1, a2) and u1 == u2 and ok1 == ok2
+        # both consumed the generator identically
+        assert rng_new.random() == rng_ref.random()
 
 
 def test_action_chain_single_step_always_accepts(gaussian_task):
