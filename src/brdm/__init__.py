@@ -4,9 +4,7 @@ from .agents import (
     BudgetSplit,
     DecisionSystem,
     EpisodeRecord,
-    MultinomialPrior,
     SystemConfig,
-    efficiency_point,
     empirical_expected_utility,
     empirical_mutual_information,
     train_system,
@@ -16,7 +14,6 @@ from .baseline import (
     FrontierPoint,
     TwoStageSolution,
     expected_utility,
-    free_energy,
     mutual_information,
     rate_distortion_curve,
     solve_single_stage,
@@ -34,7 +31,6 @@ from .mcmc import (
     ChainConfig,
     ChainResult,
     SelectionConfig,
-    anneal_gamma,
     mh_accept_prob,
     run_action_chain,
     run_selection_chain,

@@ -19,7 +19,7 @@ the cached estimates and cost no evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -155,12 +155,6 @@ class DecisionSystem:
             _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
         ]
         self.multinomial = MultinomialPrior(np.zeros(cfg.num_priors, dtype=np.int64))
-        self._chain_cfg = (
-            replace(cfg.chain, n_max=cfg.budget.action_steps)
-            if cfg.budget.action_steps > 0
-            else None
-        )
-        self._selection_cfg = replace(cfg.selection, n_max_sel=cfg.budget.selection_steps)
         self._rho_cum = np.cumsum(world.rho)
         self._select = cfg.num_priors > 1 and cfg.budget.selection_steps > 0
         self._expected_evals = cfg.budget.action_steps + 1
@@ -179,6 +173,7 @@ class DecisionSystem:
         """
         rng = self.rng if rng is None else rng
         world = self.world
+        budget = self.cfg.budget
         evals = 0
 
         if self._select:
@@ -188,35 +183,31 @@ class DecisionSystem:
                 draws = sample_actions(prior, m, rng)
                 estimates.append(sum(world.utility(w, a) for a in draws) / m)
             evals += m * self.cfg.num_priors
-            x = run_selection_chain(estimates, self.multinomial.px, self._selection_cfg, rng)
+            x = run_selection_chain(
+                estimates, self.multinomial.px, self.cfg.selection, budget.selection_steps, rng
+            )
         elif self.cfg.num_priors > 1:
             x = int(rng.choice(self.cfg.num_priors, p=self.multinomial.px))
         else:
             x = 0
 
         seed = sample_action(self.vaes[x], rng)
-        if self._chain_cfg is not None:
-            result = run_action_chain(world, w, seed, self._chain_cfg, rng, record_trace=False)
-            decision = result.decision
-            utility = result.decision_utility
-            seed_utility = result.seed_utility
-            evals += result.evaluations
-        else:
-            decision = seed
-            utility = seed_utility = world.utility(w, seed)
-            evals += 1
+        result = run_action_chain(
+            world, w, seed, self.cfg.chain, budget.action_steps, rng, record_trace=False
+        )
+        evals += result.evaluations
         if evals != self._expected_evals:
             raise RuntimeError("utility evaluation accounting drifted")
 
-        self.buffers[x].append(decision)
+        self.buffers[x].append(result.decision)
         self.multinomial.update(x)
         return EpisodeRecord(
             world=w,
             selected_prior=x,
             seed_action=seed,
-            decision=decision,
-            utility=utility,
-            seed_utility=seed_utility,
+            decision=result.decision,
+            utility=result.decision_utility,
+            seed_utility=result.seed_utility,
             utility_evaluations=evals,
         )
 
@@ -287,10 +278,3 @@ def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(joint > 0.0, joint * np.log2(joint / (pw * pa)), 0.0)
     return float(terms.sum())
-
-
-def efficiency_point(
-    records: Sequence[EpisodeRecord], bins: int = 100
-) -> tuple[float, float]:
-    """(mutual information bits, expected utility) for frontier comparison."""
-    return empirical_mutual_information(records, bins), empirical_expected_utility(records)

@@ -51,7 +51,6 @@ class DiscretePolicy:
     converged: bool = True
     iterations: int = 0
     residual: float = 0.0
-    free_energy_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not np.allclose(self.cond.sum(axis=1), 1.0, atol=1e-9):
@@ -175,7 +174,6 @@ def solve_single_stage(
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
     grid = action_grid(grid_size)
-    table = utility_table(world, grid)
     rho = world.rho
 
     if init_marginal is None:
@@ -184,8 +182,7 @@ def solve_single_stage(
         marginal = _floor_norm(np.asarray(init_marginal, dtype=float))
     cond = np.tile(marginal, (world.num_worlds, 1))
 
-    bu = beta * table
-    fe_trace: list[float] = []
+    bu = beta * utility_table(world, grid)
     converged = False
     residual = np.inf
     iteration = 0
@@ -201,10 +198,6 @@ def solve_single_stage(
             float(np.abs(new_marginal - marginal).max()),
         )
         cond, marginal = new_cond, new_marginal
-        if beta > 0.0:
-            eu = float(rho @ (cond * table).sum(axis=1))
-            info = float(rho @ _kl_rows_nats(cond, marginal[None, :]))
-            fe_trace.append(eu - info / beta)
         if residual < tol:
             converged = True
             break
@@ -216,7 +209,6 @@ def solve_single_stage(
         converged=converged,
         iterations=iteration,
         residual=residual,
-        free_energy_trace=tuple(fe_trace),
     )
 
 

@@ -49,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument("--out", metavar="DIR", help="output directory (default from config)")
+    p.add_argument(
+        "--out", metavar="DIR", default="results", help="output directory (default: results)"
+    )
     p.add_argument("--seed", type=int, metavar="INT", help="override the config seed")
     p.add_argument("--workers", type=int, metavar="INT", help="worker pool size (0 = auto)")
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -73,19 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.workers is not None:
-        if args.workers < 0:
-            raise ConfigError("workers must be >= 0")
-        cfg.workers = args.workers
-    return cfg
+    overrides = {"seed": args.seed, "workers": args.workers}
+    return load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _prepare_out_dir(path: str, force: bool) -> Path:
+def _prepare_out_dir(path: str | Path, force: bool) -> Path:
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
@@ -93,9 +87,9 @@ def _prepare_out_dir(path: str, force: bool) -> Path:
     return out
 
 
-def cmd_baseline(cfg: ExperimentConfig, force: bool = False) -> Path:
-    """Write frontier.csv (plus the config used) into the output directory."""
-    out = _prepare_out_dir(cfg.out, force)
+def cmd_baseline(cfg: ExperimentConfig, out_dir: str | Path, force: bool = False) -> Path:
+    """Write frontier.csv (plus the config used) into ``out_dir``."""
+    out = _prepare_out_dir(out_dir, force)
     points = compute_frontier(cfg)
     with open(out / FRONTIER_CSV, "w", newline="\n") as fh:
         write_frontier_csv(points, fh)
@@ -103,13 +97,13 @@ def cmd_baseline(cfg: ExperimentConfig, force: bool = False) -> Path:
     return out / FRONTIER_CSV
 
 
-def cmd_run(cfg: ExperimentConfig, force: bool = False) -> Path:
+def cmd_run(cfg: ExperimentConfig, out_dir: str | Path, force: bool = False) -> Path:
     """Train every sweep cell; write per-cell episode logs and summary.csv.
 
-    Episode logs left by an earlier sweep in the directory are removed first,
+    Episode logs left by an earlier sweep in ``out_dir`` are removed first,
     so the logs present afterwards are exactly this sweep's cells.
     """
-    out = _prepare_out_dir(cfg.out, force)
+    out = _prepare_out_dir(out_dir, force)
     for stale in out.glob("episodes_*.csv"):
         stale.unlink()
     rows = run_sweep(cfg, out_dir=out, workers=cfg.workers or None)
@@ -169,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "plot":
             cmd_plot(
-                out_dir=args.out or "results",
+                out_dir=args.out,
                 summary_path=args.summary,
                 frontier_path=args.frontier,
                 force=args.force,
@@ -178,9 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             cfg = _load(args)
             if args.command == "baseline":
-                path = cmd_baseline(cfg, force=args.force)
+                path = cmd_baseline(cfg, args.out, force=args.force)
             else:
-                path = cmd_run(cfg, force=args.force)
+                path = cmd_run(cfg, args.out, force=args.force)
             print(path)
         return 0
     except (ConfigError, CsvFormatError) as exc:

@@ -2,18 +2,22 @@
 
 Format: one ``key = value`` per line, ``#`` starts a comment, list values
 are comma separated, omitted keys take the defaults below, unknown keys are
-errors. ``serialize_config`` writes a file that parses back to an equal
-config (floats via repr, so they round-trip exactly).
+errors. Each value is parsed by its field's annotation (``int``, ``float``,
+``str`` or ``tuple[T, ...]``). ``serialize_config`` writes a file that
+parses back to an equal config (floats via repr, so they round-trip
+exactly).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .agents import BudgetSplit, SystemConfig
+from .baseline import action_grid
 from .core import GaussianTaskSpec
 from .mcmc import ChainConfig, SelectionConfig
 from .vae import VaeArch
@@ -69,74 +73,27 @@ class ExperimentConfig:
     summary_window: float = 0.1
     mi_bins: int = 100
     seed: int = 0
-    out: str = "results"
     workers: int = 0
 
 
-_INT_KEYS = {
-    "num_worlds",
-    "num_priors",
-    "episodes",
-    "replicates",
-    "grid_size",
-    "max_iter",
-    "utility_samples",
-    "hidden_dim",
-    "latent_dim",
-    "buffer_size",
-    "batch_size",
-    "mi_bins",
-    "seed",
-    "workers",
-}
-_FLOAT_KEYS = {
-    "width",
-    "selection_fraction",
-    "tol",
-    "gamma0",
-    "alpha",
-    "proposal_sigma",
-    "gamma_sel0",
-    "alpha_sel",
-    "decoder_variance",
-    "step_size",
-    "summary_window",
-}
-_INT_LIST_KEYS = {"total_steps", "selection_steps"}
-_FLOAT_LIST_KEYS = {"means", "betas"}
-_STR_LIST_KEYS = {"agent_kinds"}
-_STR_KEYS = {"hidden_activation", "out"}
+def _parser(hint):
+    """Text-to-value parser for one field annotation: a scalar or ``tuple[T, ...]``."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda raw: tuple(item(v.strip()) for v in raw.split(",") if v.strip())
+    return hint
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_LIST_KEYS:
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        if key in _FLOAT_LIST_KEYS:
-            return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-        if key in _STR_LIST_KEYS:
-            return tuple(v.strip() for v in raw.split(",") if v.strip())
-        if key in _STR_KEYS:
-            return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
-    raise ConfigError(f"line {line_no}: unknown key '{key}'")
+_PARSERS = {key: _parser(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Cross-field constraint checks; raises ConfigError naming the keys."""
-    if cfg.num_worlds < 1:
-        raise ConfigError("num_worlds must be >= 1")
-    if not cfg.width > 0.0:
-        raise ConfigError("width must be positive")
-    if cfg.means and len(cfg.means) != cfg.num_worlds:
-        raise ConfigError("means must have num_worlds entries")
-    if cfg.num_priors < 1:
-        raise ConfigError("num_priors must be >= 1")
+    """Sweep-level and cross-field checks, then build what the config describes.
+
+    Every other range is checked by the domain types themselves (task spec,
+    action grid, chain, selection, VAE and system configs); their
+    ValueError becomes a ConfigError.
+    """
     if not cfg.agent_kinds:
         raise ConfigError("agent_kinds must not be empty")
     for kind in cfg.agent_kinds:
@@ -156,45 +113,47 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("selection_fraction must lie in [0, 1)")
     if cfg.episodes < 1 or cfg.replicates < 1:
         raise ConfigError("episodes and replicates must be >= 1")
-    if cfg.grid_size < 2:
-        raise ConfigError("grid_size must be >= 2")
     if not cfg.betas:
         raise ConfigError("betas must not be empty")
     if min(cfg.betas) < 0.0:
         raise ConfigError("betas must be >= 0")
-    if cfg.hidden_activation not in ("relu", "sigmoid"):
-        raise ConfigError("hidden_activation must be 'relu' or 'sigmoid'")
     if not 0.0 < cfg.summary_window <= 1.0:
         raise ConfigError("summary_window must lie in (0, 1]")
     if cfg.mi_bins < 1:
         raise ConfigError("mi_bins must be >= 1")
     if cfg.workers < 0:
         raise ConfigError("workers must be >= 0")
+    try:
+        task_spec(cfg)
+        action_grid(cfg.grid_size)
+        # each cell's BudgetSplit is valid once the step checks above pass
+        system_config(cfg, "multi", BudgetSplit())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Parse a config file (or return pure defaults for ``None``)."""
+def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """Parse a config file (pure defaults for ``None``), apply ``overrides``, validate."""
     cfg = ExperimentConfig()
-    if path is None:
-        validate_config(cfg)
-        return cfg
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    known = {f.name for f in fields(ExperimentConfig)}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got: {line.strip()}")
-        key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"line {line_no}: unknown key '{key}'")
-        if raw == "" and key not in (_INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS):
-            raise ConfigError(f"line {line_no}: empty value for {key}")
-        setattr(cfg, key, _parse_value(key, raw, line_no))
-    cfg.betas = tuple(sorted(cfg.betas))
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"line {line_no}: expected 'key = value', got: {line.strip()}")
+            key, raw = (part.strip() for part in text.split("=", 1))
+            if key not in _PARSERS:
+                raise ConfigError(f"line {line_no}: unknown key '{key}'")
+            try:
+                setattr(cfg, key, _PARSERS[key](raw))
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
+        cfg.betas = tuple(sorted(cfg.betas))
+    cfg = replace(cfg, **overrides)
     validate_config(cfg)
     return cfg
 
@@ -225,13 +184,11 @@ def system_config(cfg: ExperimentConfig, kind: str, budget: BudgetSplit) -> Syst
         chain=ChainConfig(
             gamma0=cfg.gamma0,
             alpha=cfg.alpha,
-            n_max=max(budget.action_steps, 1),
             proposal_sigma=cfg.proposal_sigma,
         ),
         selection=SelectionConfig(
             gamma_sel0=cfg.gamma_sel0,
             alpha_sel=cfg.alpha_sel,
-            n_max_sel=budget.selection_steps,
             utility_samples=cfg.utility_samples,
         ),
         vae=VaeArch(

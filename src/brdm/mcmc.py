@@ -25,18 +25,15 @@ from .core import WorldModel
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Action-chain parameters: annealing, step budget, proposal width."""
+    """Action-chain parameters: annealing and proposal width."""
 
     gamma0: float = 1.0
     alpha: float = 5.0
-    n_max: int = 100
     proposal_sigma: float = 0.1
 
     def __post_init__(self):
         if self.gamma0 < 0.0 or self.alpha < 0.0:
             raise ValueError("gamma0 and alpha must be >= 0")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
         if not self.proposal_sigma > 0.0:
             raise ValueError("proposal_sigma must be positive")
 
@@ -64,14 +61,11 @@ class SelectionConfig:
 
     gamma_sel0: float = 1.0
     alpha_sel: float = 5.0
-    n_max_sel: int = 25
     utility_samples: int = 3
 
     def __post_init__(self):
         if self.gamma_sel0 < 0.0 or self.alpha_sel < 0.0:
             raise ValueError("gamma_sel0 and alpha_sel must be >= 0")
-        if self.n_max_sel < 0:
-            raise ValueError("n_max_sel must be >= 0")
         if self.utility_samples < 1:
             raise ValueError("utility_samples must be >= 1")
 
@@ -102,14 +96,16 @@ def run_action_chain(
     w: int,
     seed_action: np.ndarray,
     cfg: ChainConfig,
+    steps: int,
     rng: np.random.Generator,
     record_trace: bool = True,
 ) -> ChainResult:
-    """Anneal an MH chain over U(w, .) for cfg.n_max steps from ``seed_action``.
+    """Anneal an MH chain over U(w, .) for ``steps`` steps from ``seed_action``.
 
     The noise and uniforms are drawn as two blocks up front; the steps then
     run on Python floats. Each proposal is written into one reused buffer,
-    which is the array ``world.utility`` receives.
+    which is the array ``world.utility`` receives. With ``steps == 0`` the
+    seed is the decision, and the zero-size draws leave ``rng`` unchanged.
     """
     buf = np.array(seed_action, dtype=float)
     u = world.utility(w, buf)
@@ -117,9 +113,8 @@ def run_action_chain(
     state = buf.tolist()
 
     d = len(state)
-    n = cfg.n_max
-    noise = rng.normal(0.0, cfg.proposal_sigma, size=(n, d)).tolist()
-    log_unif = np.log(rng.random(n)).tolist()
+    noise = rng.normal(0.0, cfg.proposal_sigma, size=(steps, d)).tolist()
+    log_unif = np.log(rng.random(steps)).tolist()
     gamma0, alpha = cfg.gamma0, cfg.alpha
     utility = world.utility
     dims = range(d)
@@ -142,8 +137,8 @@ def run_action_chain(
     return ChainResult(
         decision=np.array(state),
         trace=tuple(trace),
-        evaluations=n + 1,
-        acceptance_rate=accepted / n,
+        evaluations=steps + 1,
+        acceptance_rate=accepted / steps if steps else 0.0,
         decision_utility=u,
         seed_utility=seed_u,
     )
@@ -153,9 +148,10 @@ def run_selection_chain(
     candidate_estimates: Sequence[float],
     px: np.ndarray,
     cfg: SelectionConfig,
+    steps: int,
     rng: np.random.Generator,
 ) -> int:
-    """MH chain over prior indices with uniform global proposals.
+    """MH chain of ``steps`` steps over prior indices with uniform global proposals.
 
     ``candidate_estimates`` holds one cached expected-utility estimate per
     prior; the acceptance rule compares new minus old, matching the action
@@ -165,12 +161,12 @@ def run_selection_chain(
     if num == 0:
         raise ValueError("need at least one candidate prior")
     x = int(rng.choice(num, p=np.asarray(px, dtype=float)))
-    if num == 1 or cfg.n_max_sel == 0:
+    if num == 1 or steps == 0:
         return x
 
     est = [float(v) for v in candidate_estimates]
-    props = rng.integers(0, num, size=cfg.n_max_sel).tolist()
-    log_unif = np.log(rng.random(cfg.n_max_sel)).tolist()
+    props = rng.integers(0, num, size=steps).tolist()
+    log_unif = np.log(rng.random(steps)).tolist()
     gamma0, alpha = cfg.gamma_sel0, cfg.alpha_sel
     for k, (xp, lu) in enumerate(zip(props, log_unif)):
         du = est[xp] - est[x]

@@ -176,14 +176,16 @@ def generate_plot_script(
 def render_plot_script(script_path: str | Path) -> None:
     """Execute a generated script in place, writing PNGs next to it.
 
-    Raises RuntimeError, before running anything, if matplotlib is missing.
+    Raises RuntimeError, before running anything, if matplotlib is missing;
+    the message names the script, which renders the figures when run once
+    the ``plot`` extra is installed.
     """
+    script_path = Path(script_path)
     if importlib.util.find_spec("matplotlib") is None:
         raise RuntimeError(
             "rendering the figures needs matplotlib, which is not installed; "
-            "install the 'plot' extra (pip install -e .[plot]) or pass --no-render"
+            f"install the 'plot' extra (pip install -e .[plot]) and run python {script_path}"
         )
-    script_path = Path(script_path)
     source = script_path.read_text()
     code = compile(source, str(script_path), "exec")
     exec(code, {"__name__": "__main__", "__file__": str(script_path)})

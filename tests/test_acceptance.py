@@ -358,17 +358,17 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
             seed=5,
         )
 
-        def fresh(out, workers):
-            cfg = ExperimentConfig(workers=workers, out=str(out), **cfg_kw)
+        def fresh(workers):
+            cfg = ExperimentConfig(workers=workers, **cfg_kw)
             validate_config(cfg)
             return cfg
 
-        b1 = cmd_baseline(fresh(tmp_path / "b1", 1))
-        b2 = cmd_baseline(fresh(tmp_path / "b2", 1))
+        b1 = cmd_baseline(fresh(1), tmp_path / "b1")
+        b2 = cmd_baseline(fresh(1), tmp_path / "b2")
         assert b1.read_bytes() == b2.read_bytes()
 
-        r1 = cmd_run(fresh(tmp_path / "r1", 1))
-        r2 = cmd_run(fresh(tmp_path / "r2", 2))  # worker count must not matter
+        r1 = cmd_run(fresh(1), tmp_path / "r1")
+        r2 = cmd_run(fresh(2), tmp_path / "r2")  # worker count must not matter
         assert r1.read_bytes() == r2.read_bytes()
         logs1 = sorted(p.name for p in r1.parent.glob("episodes_*.csv"))
         logs2 = sorted(p.name for p in r2.parent.glob("episodes_*.csv"))

@@ -9,7 +9,6 @@ from brdm.agents import (
     EpisodeRecord,
     MultinomialPrior,
     SystemConfig,
-    efficiency_point,
     empirical_expected_utility,
     empirical_mutual_information,
     train_system,
@@ -152,8 +151,7 @@ def test_empirical_mi_degenerate_and_identity():
         for _ in range(10)
     ]
     assert empirical_mutual_information(distinct, 100) == pytest.approx(np.log2(6))
-    mi, eu = efficiency_point(same, 100)
-    assert mi == pytest.approx(0.0) and eu == pytest.approx(1.0)
+    assert empirical_expected_utility(same) == pytest.approx(1.0)
 
 
 def test_empirical_mi_matches_known_channel(gaussian_task):
@@ -168,9 +166,8 @@ def test_empirical_mi_matches_known_channel(gaussian_task):
         j = int(np.searchsorted(cum[w], rng.random(), side="right"))
         a = np.array([policy.grid[j]])
         recs.append(EpisodeRecord(w, 0, a, a, gaussian_task.utility(w, a), 0.0, 1))
-    mi, eu = efficiency_point(recs, 100)
-    assert abs(mi - exact_mi) < 0.05
-    assert abs(eu - exact_eu) < 0.01
+    assert abs(empirical_mutual_information(recs, 100) - exact_mi) < 0.05
+    assert abs(empirical_expected_utility(recs) - exact_eu) < 0.01
 
 
 def test_episode_csv_format(gaussian_task):

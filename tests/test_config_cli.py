@@ -170,10 +170,8 @@ def test_frontier_csv_flags_only_when_needed(tmp_path):
 
 
 def test_cmd_baseline_deterministic(tmp_path):
-    cfg = small_config(out=str(tmp_path / "a"))
-    p1 = cmd_baseline(cfg)
-    cfg2 = small_config(out=str(tmp_path / "b"))
-    p2 = cmd_baseline(cfg2)
+    p1 = cmd_baseline(small_config(), tmp_path / "a")
+    p2 = cmd_baseline(small_config(), tmp_path / "b")
     assert p1.read_bytes() == p2.read_bytes()
     rows = read_frontier_csv(p1)
     assert [r[0] for r in rows] == [0.0, 1.0, 10.0]
@@ -181,8 +179,7 @@ def test_cmd_baseline_deterministic(tmp_path):
 
 
 def test_cmd_run_writes_logs_and_summary(tmp_path):
-    cfg = small_config(out=str(tmp_path / "run"))
-    summary = cmd_run(cfg)
+    summary = cmd_run(small_config(), tmp_path / "run")
     assert summary.exists()
     logs = sorted(p.name for p in summary.parent.glob("episodes_*.csv"))
     assert logs == [
@@ -205,10 +202,9 @@ def test_cmd_run_refuses_nonempty_dir(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     (out / "junk.txt").write_text("x")
-    cfg = small_config(out=str(out))
     with pytest.raises(ConfigError, match="force"):
-        cmd_run(cfg)
-    cmd_run(cfg, force=True)
+        cmd_run(small_config(), out)
+    cmd_run(small_config(), out, force=True)
 
 
 def test_run_force_removes_stale_episode_logs(tmp_path):
@@ -233,8 +229,8 @@ def test_run_force_removes_stale_episode_logs(tmp_path):
 
 
 def _run_and_baseline(out):
-    cmd_run(small_config(out=str(out)))
-    cmd_baseline(small_config(out=str(out)), force=True)
+    cmd_run(small_config(), out)
+    cmd_baseline(small_config(), out, force=True)
 
 
 def test_cmd_plot_outputs(tmp_path):
@@ -272,8 +268,11 @@ def test_plot_without_matplotlib_is_runtime_error(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "matplotlib", None)
     out = tmp_path / "run"
     _run_and_baseline(out)
-    with pytest.raises(RuntimeError, match="matplotlib"):
+    with pytest.raises(RuntimeError, match="matplotlib") as info:
         cmd_plot(str(out), render=True)
+    # the message names the written script to run, not a rerun that would fail
+    assert str(out / "plot_figures.py") in str(info.value)
+    assert "--no-render" not in str(info.value)
     assert (out / "plot_figures.py").exists()
     assert (out / "plot_data.json").exists()
     assert not (out / "efficiency_frontier.png").exists()
@@ -324,6 +323,44 @@ def test_main_exit_codes(tmp_path):
     assert main(["baseline", "--config", str(cfgfile), "--out", str(blocked)]) == 2
 
 
+# values that a domain type rejects, and the output directory, which is only --out
+REJECTED_VALUES = [
+    "means = 0.9, 0.1, 0.3, 0.5, 0.7, 0.8",
+    "proposal_sigma = 0",
+    "gamma0 = -1",
+    "alpha = -1",
+    "gamma_sel0 = -1",
+    "alpha_sel = -1",
+    "utility_samples = 0",
+    "hidden_dim = 0",
+    "latent_dim = 0",
+    "decoder_variance = 0",
+    "buffer_size = 0",
+    "batch_size = 0",
+    "num_worlds = 0",
+    "grid_size = 1",
+    "hidden_activation = tanh",
+    "out = elsewhere",
+]
+
+
+@pytest.mark.parametrize("line", REJECTED_VALUES)
+def test_rejected_value_exits_1_before_out_is_touched(tmp_path, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    for command in ("run", "baseline"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert not out.exists()
+    # --force must not clear an earlier sweep's logs for a config that fails
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    log = earlier / "episodes_multi_t100_a75_r0.csv"
+    log.write_text("kept\n")
+    assert main(["run", "--config", str(cfgfile), "--out", str(earlier), "--force"]) == 1
+    assert log.read_text() == "kept\n"
+
+
 def test_main_run_and_plot_end_to_end(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(
@@ -338,10 +375,8 @@ def test_main_run_and_plot_end_to_end(tmp_path):
 
 
 def test_seed_override_changes_results(tmp_path):
-    cfg = small_config(out=str(tmp_path / "s0"))
-    cmd_run(cfg)
-    cfg2 = small_config(out=str(tmp_path / "s1"), seed=1)
-    cmd_run(cfg2)
+    cmd_run(small_config(), tmp_path / "s0")
+    cmd_run(small_config(seed=1), tmp_path / "s1")
     a = (tmp_path / "s0" / "summary.csv").read_text()
     b = (tmp_path / "s1" / "summary.csv").read_text()
     assert a != b

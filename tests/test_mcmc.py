@@ -68,13 +68,12 @@ def _reference_reflect01(a):
     return np.where(r > 1.0, 2.0 - r, r)
 
 
-def _reference_action_chain(world, w, seed_action, cfg, rng, record_trace=True):
+def _reference_action_chain(world, w, seed_action, cfg, n, rng, record_trace=True):
     """The earlier numpy implementation of run_action_chain, kept as the oracle."""
     a = np.asarray(seed_action, dtype=float).copy()
     u = world.utility(w, a)
     seed_u = u
 
-    n = cfg.n_max
     noise = rng.normal(0.0, cfg.proposal_sigma, size=(n, a.size))
     log_unif = np.log(rng.random(n))
     gamma0, alpha = cfg.gamma0, cfg.alpha
@@ -122,15 +121,15 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
     for seed in range(500):
         cfg = ChainConfig(
             gamma0=(0.5, 1.0, 3.0)[seed % 3],
-            n_max=(1, 7, 75, 200)[seed % 4],
             proposal_sigma=(0.05, 0.1, 0.7)[seed % 3],
         )
+        steps = (1, 7, 75, 200)[seed % 4]
         setup = make_rng(10_000 + seed)
         w = int(setup.integers(world.num_worlds))
         seed_action = setup.random(dim)
         rng_ref, rng_new = make_rng(seed), make_rng(seed)
-        ref = _reference_action_chain(world, w, seed_action, cfg, rng_ref, record_trace)
-        got = run_action_chain(world, w, seed_action, cfg, rng_new, record_trace)
+        ref = _reference_action_chain(world, w, seed_action, cfg, steps, rng_ref, record_trace)
+        got = run_action_chain(world, w, seed_action, cfg, steps, rng_new, record_trace)
 
         assert got.decision.dtype == ref.decision.dtype
         assert np.array_equal(got.decision, ref.decision)
@@ -138,7 +137,7 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
         assert got.seed_utility == ref.seed_utility
         assert got.acceptance_rate == ref.acceptance_rate
         assert got.evaluations == ref.evaluations
-        assert len(got.trace) == len(ref.trace) == (cfg.n_max if record_trace else 0)
+        assert len(got.trace) == len(ref.trace) == (steps if record_trace else 0)
         for (a1, u1, ok1), (a2, u2, ok2) in zip(got.trace, ref.trace):
             assert np.array_equal(a1, a2) and u1 == u2 and ok1 == ok2
         # both consumed the generator identically
@@ -146,16 +145,16 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
 
 
 def test_action_chain_single_step_always_accepts(gaussian_task):
-    cfg = ChainConfig(gamma0=0.0, alpha=0.0, n_max=1, proposal_sigma=0.1)
-    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, make_rng(3))
+    cfg = ChainConfig(gamma0=0.0, alpha=0.0, proposal_sigma=0.1)
+    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, 1, make_rng(3))
     assert result.acceptance_rate == 1.0
     assert np.array_equal(result.decision, result.trace[0][0])
 
 
 def test_action_chain_flat_utility_accepts_everything():
     world = WorldModel(num_worlds=1, rho=np.array([1.0]), utility=lambda w, a: 0.25)
-    cfg = ChainConfig(gamma0=5.0, alpha=5.0, n_max=200, proposal_sigma=0.2)
-    result = run_action_chain(world, 0, np.array([0.5]), cfg, make_rng(4))
+    cfg = ChainConfig(gamma0=5.0, alpha=5.0, proposal_sigma=0.2)
+    result = run_action_chain(world, 0, np.array([0.5]), cfg, 200, make_rng(4))
     assert result.acceptance_rate == 1.0
 
 
@@ -168,8 +167,7 @@ def test_action_chain_counts_utility_calls(gaussian_task):
         return gaussian_task.utility(w, a)
 
     world = WorldModel(num_worlds=6, rho=gaussian_task.rho, utility=counting)
-    cfg = ChainConfig(n_max=57)
-    result = run_action_chain(world, 2, np.array([0.1]), cfg, make_rng(5))
+    result = run_action_chain(world, 2, np.array([0.1]), ChainConfig(), 57, make_rng(5))
     assert calls == 58
     assert result.evaluations == 58
     assert len(result.trace) == 57
@@ -182,24 +180,35 @@ def test_action_chain_rejects_everything_returns_seed():
         return 1.0 if abs(a[0] - 0.5) < 1e-12 else 0.0
 
     world = WorldModel(num_worlds=1, rho=np.array([1.0]), utility=spike)
-    cfg = ChainConfig(gamma0=1e9, alpha=0.0, n_max=50, proposal_sigma=0.2)
-    result = run_action_chain(world, 0, np.array([0.5]), cfg, make_rng(6))
+    cfg = ChainConfig(gamma0=1e9, alpha=0.0, proposal_sigma=0.2)
+    result = run_action_chain(world, 0, np.array([0.5]), cfg, 50, make_rng(6))
     assert result.acceptance_rate == 0.0
     assert result.decision[0] == 0.5
     assert result.decision_utility == result.seed_utility == 1.0
 
 
+def test_action_chain_zero_steps_returns_seed(gaussian_task):
+    rng, untouched = make_rng(8), make_rng(8)
+    result = run_action_chain(gaussian_task, 1, np.array([0.3]), ChainConfig(), 0, rng)
+    assert result.decision.tolist() == [0.3]
+    assert result.decision_utility == result.seed_utility == gaussian_task.utility(1, [0.3])
+    assert result.evaluations == 1
+    assert result.acceptance_rate == 0.0
+    assert result.trace == ()
+    assert rng.random() == untouched.random()
+
+
 def test_action_chain_visits_stay_inside_box(gaussian_task):
-    cfg = ChainConfig(n_max=500, proposal_sigma=0.4)
-    result = run_action_chain(gaussian_task, 0, np.array([0.02]), cfg, make_rng(7))
+    cfg = ChainConfig(proposal_sigma=0.4)
+    result = run_action_chain(gaussian_task, 0, np.array([0.02]), cfg, 500, make_rng(7))
     actions = np.array([step[0][0] for step in result.trace])
     assert actions.min() >= 0.0 and actions.max() <= 1.0
 
 
 def test_action_chain_reproducible(gaussian_task):
-    cfg = ChainConfig(n_max=80)
-    r1 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, make_rng(9))
-    r2 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, make_rng(9))
+    cfg = ChainConfig()
+    r1 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, 80, make_rng(9))
+    r2 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, 80, make_rng(9))
     assert np.array_equal(r1.decision, r2.decision)
     assert r1.acceptance_rate == r2.acceptance_rate
     for (a1, u1, ok1), (a2, u2, ok2) in zip(r1.trace, r2.trace):
@@ -209,15 +218,15 @@ def test_action_chain_reproducible(gaussian_task):
 def test_action_chain_utility_grows_with_budget(gaussian_task):
     budgets = [5, 10, 25, 50, 100]
     means = []
+    cfg = ChainConfig()
     for n in budgets:
-        cfg = ChainConfig(n_max=n)
         total = 0.0
         for seed in range(200):
             rng = make_rng(seed)
             seed_action = rng.random(1)
             w = int(rng.integers(0, 6))
             total += run_action_chain(
-                gaussian_task, w, seed_action, cfg, rng, record_trace=False
+                gaussian_task, w, seed_action, cfg, n, rng, record_trace=False
             ).decision_utility
         means.append(total / 200)
     assert spearman_rho(budgets, means) > 0.9
@@ -277,41 +286,41 @@ def test_neighbor_chain_stationary_distribution():
 
 
 def test_selection_chain_single_candidate():
-    cfg = SelectionConfig(n_max_sel=10)
-    assert run_selection_chain([0.7], np.array([1.0]), cfg, make_rng(0)) == 0
+    cfg = SelectionConfig()
+    assert run_selection_chain([0.7], np.array([1.0]), cfg, 10, make_rng(0)) == 0
 
 
 def test_selection_chain_empty_candidates_error():
-    cfg = SelectionConfig(n_max_sel=10)
+    cfg = SelectionConfig()
     with pytest.raises(ValueError):
-        run_selection_chain([], np.array([]), cfg, make_rng(0))
+        run_selection_chain([], np.array([]), cfg, 10, make_rng(0))
 
 
 def test_selection_chain_uniform_at_zero_gamma():
-    cfg = SelectionConfig(gamma_sel0=0.0, alpha_sel=0.0, n_max_sel=10)
+    cfg = SelectionConfig(gamma_sel0=0.0, alpha_sel=0.0)
     rng = make_rng(1)
     px = np.full(3, 1 / 3)
     hits = np.zeros(3)
     for _ in range(10_000):
-        hits[run_selection_chain([0.5, 0.5, 0.5], px, cfg, rng)] += 1
+        hits[run_selection_chain([0.5, 0.5, 0.5], px, cfg, 10, rng)] += 1
     chi2 = float(((hits - 10_000 / 3) ** 2 / (10_000 / 3)).sum())
     assert chi2 < 9.21034  # p = 0.01 critical value, 2 dof
 
 
 def test_selection_chain_concentrates_on_best():
-    cfg = SelectionConfig(gamma_sel0=1.0, alpha_sel=10.0, n_max_sel=10)
+    cfg = SelectionConfig(gamma_sel0=1.0, alpha_sel=10.0)
     assert anneal_gamma(9, cfg.gamma_sel0, cfg.alpha_sel) >= 20.0
     rng = make_rng(2)
     px = np.full(3, 1 / 3)
     wins = sum(
-        run_selection_chain([0.9, 0.1, 0.1], px, cfg, rng) == 0 for _ in range(10_000)
+        run_selection_chain([0.9, 0.1, 0.1], px, cfg, 10, rng) == 0 for _ in range(10_000)
     )
     assert wins >= 9_500
 
 
 def test_dump_trace_format(gaussian_task):
-    cfg = ChainConfig(n_max=5)
-    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, make_rng(12))
+    cfg = ChainConfig()
+    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, 5, make_rng(12))
     buf = io.StringIO()
     dump_trace(result, cfg, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -324,8 +333,6 @@ def test_dump_trace_format(gaussian_task):
 
 
 def test_chain_config_validation():
-    with pytest.raises(ValueError):
-        ChainConfig(n_max=0)
     with pytest.raises(ValueError):
         ChainConfig(proposal_sigma=0.0)
     with pytest.raises(ValueError):
