@@ -25,8 +25,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import WorldModel, make_rng
-from .mcmc import ChainConfig, SelectionConfig, run_action_chain, run_selection_chain
-from .vae import VaeArch, VaePrior, init_vae, sample_action, sample_actions, train_step
+from .mcmc import ChainConfig, SelectionConfig, draw_index, run_action_chain, run_selection_chain
+from .vae import VaeArch, VaePrior, init_vae, param_count, sample_action, sample_actions, train_step
 
 EPISODE_CSV_HEADER = "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
 
@@ -76,6 +76,8 @@ class SystemConfig:
             raise ValueError("num_priors must be >= 1")
         if self.buffer_size < 1 or self.batch_size < 1:
             raise ValueError("buffer_size and batch_size must be >= 1")
+        if not self.step_size >= 0.0:
+            raise ValueError("step_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,10 @@ class _RingBuffer:
 class DecisionSystem:
     """Mutable agent state: VAE priors, buffers, and the selection multinomial.
 
+    The priors' parameters are the rows of one bank: ``vaes[p]`` views row
+    p, and a stack over the whole bank decodes every prior in one pass for
+    the selection stage.
+
     Training mutates the system between episodes, so a system instance is
     single-threaded; run independent (config, seed) instances to parallelize.
     """
@@ -148,9 +154,11 @@ class DecisionSystem:
         self.world = world
         self.cfg = cfg
         self.rng = make_rng(cfg.seed) if rng is None else rng
-        self.vaes: list[VaePrior] = [
-            init_vae(cfg.vae, self.rng, cfg.step_size) for _ in range(cfg.num_priors)
-        ]
+        bank = np.empty((cfg.num_priors, param_count(cfg.vae)))
+        self.vaes: tuple[VaePrior, ...] = tuple(
+            init_vae(cfg.vae, self.rng, cfg.step_size, row) for row in bank
+        )
+        self._stack = VaePrior(cfg.vae, bank)
         self.buffers = [
             _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
         ]
@@ -178,16 +186,16 @@ class DecisionSystem:
 
         if self._select:
             m = self.cfg.selection.utility_samples
-            estimates = []
-            for prior in self.vaes:
-                draws = sample_actions(prior, m, rng)
-                estimates.append(sum(world.utility(w, a) for a in draws) / m)
+            estimates = [
+                sum(world.utility(w, a) for a in draws) / m
+                for draws in sample_actions(self._stack, m, rng)
+            ]
             evals += m * self.cfg.num_priors
             x = run_selection_chain(
                 estimates, self.multinomial.px, self.cfg.selection, budget.selection_steps, rng
             )
         elif self.cfg.num_priors > 1:
-            x = int(rng.choice(self.cfg.num_priors, p=self.multinomial.px))
+            x = draw_index(self.multinomial.px, rng)
         else:
             x = 0
 

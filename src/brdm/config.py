@@ -88,11 +88,12 @@ _PARSERS = {key: _parser(hint) for key, hint in get_type_hints(ExperimentConfig)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Sweep-level and cross-field checks, then build what the config describes.
+    """Sweep-level, frontier and cross-field checks, then build what the config describes.
 
     Every other range is checked by the domain types themselves (task spec,
     action grid, chain, selection, VAE and system configs); their
-    ValueError becomes a ConfigError.
+    ValueError becomes a ConfigError. No domain type owns the frontier's
+    ``tol`` and ``max_iter``, so they are checked here.
     """
     if not cfg.agent_kinds:
         raise ConfigError("agent_kinds must not be empty")
@@ -117,6 +118,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("betas must not be empty")
     if min(cfg.betas) < 0.0:
         raise ConfigError("betas must be >= 0")
+    if not cfg.tol > 0.0:
+        raise ConfigError("tol must be positive")
+    if cfg.max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
     if not 0.0 < cfg.summary_window <= 1.0:
         raise ConfigError("summary_window must lie in (0, 1]")
     if cfg.mi_bins < 1:

@@ -144,6 +144,16 @@ def run_action_chain(
     )
 
 
+def draw_index(px: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn with probabilities ``px`` from one uniform.
+
+    The same index as ``rng.choice(len(px), p=px)``, which leaves the
+    generator in the same state, without that call's argument checks.
+    """
+    cdf = np.cumsum(px)
+    return int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+
+
 def run_selection_chain(
     candidate_estimates: Sequence[float],
     px: np.ndarray,
@@ -160,7 +170,9 @@ def run_selection_chain(
     num = len(candidate_estimates)
     if num == 0:
         raise ValueError("need at least one candidate prior")
-    x = int(rng.choice(num, p=np.asarray(px, dtype=float)))
+    if len(px) != num:
+        raise ValueError("px needs one probability per candidate prior")
+    x = draw_index(px, rng)
     if num == 1 or steps == 0:
         return x
 

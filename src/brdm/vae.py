@@ -15,33 +15,26 @@ objective (reparameterization path included), which keeps them checkable
 against finite differences.
 
 A trained prior generates actions by decoding latents drawn from N(0, I).
-Instances are mutable during training: one writer at a time, read-only
-sampling is safe between training steps.
+
+A prior's ten parameter arrays are views into one flat vector, and its
+gradients are views into one flat buffer, so a training step is one vector
+update. The priors of a decision system share one parameter bank: their
+vectors are the rows of one (P, K) array, and a ``VaePrior`` built on the
+whole bank is a stack of the P priors that decodes a latent batch for each
+of them in one pass. Training writes the bank in place: one writer at a
+time; read-only sampling is safe between training steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
 # Floor for the rectified variance head; a hard zero would make the KL blow up.
 VAR_FLOOR = 1e-6
-
-_PARAM_NAMES = (
-    "enc_w1",
-    "enc_b1",
-    "enc_wmu",
-    "enc_bmu",
-    "enc_wvar",
-    "enc_bvar",
-    "dec_w1",
-    "dec_b1",
-    "dec_wout",
-    "dec_bout",
-)
 
 
 @dataclass(frozen=True)
@@ -63,14 +56,63 @@ class VaeArch:
             raise ValueError("hidden_activation must be 'relu' or 'sigmoid'")
 
 
-@dataclass
+def _shapes(arch: VaeArch) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter array, in the order they lie in the flat vector."""
+    d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
+    return {
+        "enc_w1": (h, d),
+        "enc_b1": (h,),
+        "enc_wmu": (lat, h),
+        "enc_bmu": (lat,),
+        "enc_wvar": (lat, h),
+        "enc_bvar": (lat,),
+        "dec_w1": (h, lat),
+        "dec_b1": (h,),
+        "dec_wout": (d, h),
+        "dec_bout": (d,),
+    }
+
+
+def param_count(arch: VaeArch) -> int:
+    """Length K of one prior's flat parameter vector."""
+    return sum(math.prod(shape) for shape in _shapes(arch).values())
+
+
+def _views(arch: VaeArch, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views of the last axis of ``flat``; leading axes (a stack) are kept."""
+    lead = flat.shape[:-1]
+    views, start = {}, 0
+    for name, shape in _shapes(arch).items():
+        stop = start + math.prod(shape)
+        views[name] = flat[..., start:stop].reshape(*lead, *shape)
+        start = stop
+    return views
+
+
+@dataclass(eq=False)
 class VaePrior:
-    """Encoder/decoder weights acting as a sampleable prior over actions."""
+    """Encoder/decoder weights acting as a sampleable prior over actions.
+
+    ``params`` holds named C-contiguous views into ``flat``, and ``grads``
+    the same views into ``grad``, which :func:`elbo_gradients` fills. With a
+    ``flat`` of shape (P, K) every view gains a leading axis of length P:
+    the object is then a stack of P priors, used for decoding only.
+    """
 
     arch: VaeArch
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
     step_size: float = 0.01
     train_steps: int = 0
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape[-1:] != (param_count(self.arch),):
+            raise ValueError(f"flat parameters must end in an axis of {param_count(self.arch)}")
+        self.params = _views(self.arch, self.flat)
+        self.grad = np.empty_like(self.flat)
+        self.grads = _views(self.arch, self.grad)
 
 
 @dataclass(frozen=True)
@@ -83,56 +125,44 @@ class ElboReport:
 
 
 def init_vae(
-    arch: VaeArch, rng: np.random.Generator, step_size: float = 0.01
+    arch: VaeArch,
+    rng: np.random.Generator,
+    step_size: float = 0.01,
+    flat: np.ndarray | None = None,
 ) -> VaePrior:
     """Random small weights, zero biases except a unit variance-head bias.
 
     Starting the variance head near 1 keeps it off the ReLU floor, where the
-    KL gradient could not reach it.
+    KL gradient could not reach it. The weights are written into ``flat``
+    (for example one row of a parameter bank) when it is given.
     """
     d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
-    params = {
-        "enc_w1": rng.normal(0.0, 1.0 / math.sqrt(d), size=(h, d)),
-        "enc_b1": np.zeros(h),
-        "enc_wmu": rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h)),
-        "enc_bmu": np.zeros(lat),
-        "enc_wvar": rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h)),
-        "enc_bvar": np.ones(lat),
-        "dec_w1": rng.normal(0.0, 1.0 / math.sqrt(lat), size=(h, lat)),
-        "dec_b1": np.zeros(h),
-        "dec_wout": rng.normal(0.0, 1.0 / math.sqrt(h), size=(d, h)),
-        "dec_bout": np.zeros(d),
-    }
-    return VaePrior(arch=arch, params=params, step_size=step_size)
+    prior = zero_vae(arch, step_size, flat)
+    p = prior.params
+    p["enc_w1"][...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(h, d))
+    p["enc_wmu"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h))
+    p["enc_wvar"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h))
+    p["enc_bvar"][...] = 1.0
+    p["dec_w1"][...] = rng.normal(0.0, 1.0 / math.sqrt(lat), size=(h, lat))
+    p["dec_wout"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(d, h))
+    return prior
 
 
-def zero_vae(arch: VaeArch, step_size: float = 0.01) -> VaePrior:
+def zero_vae(
+    arch: VaeArch, step_size: float = 0.01, flat: np.ndarray | None = None
+) -> VaePrior:
     """All-zero weights; encodes to (0, floor) and decodes everything to 0.5."""
-    d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
-    shapes = {
-        "enc_w1": (h, d),
-        "enc_b1": (h,),
-        "enc_wmu": (lat, h),
-        "enc_bmu": (lat,),
-        "enc_wvar": (lat, h),
-        "enc_bvar": (lat,),
-        "dec_w1": (h, lat),
-        "dec_b1": (h,),
-        "dec_wout": (d, h),
-        "dec_bout": (d,),
-    }
-    return VaePrior(
-        arch=arch, params={k: np.zeros(s) for k, s in shapes.items()}, step_size=step_size
-    )
+    if flat is None:
+        flat = np.zeros(param_count(arch))
+    else:
+        flat[...] = 0.0
+    return VaePrior(arch=arch, flat=flat, step_size=step_size)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a branch;
+    # neither exponent is positive, so neither exp can overflow
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _hidden(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -143,7 +173,7 @@ def _hidden(pre: np.ndarray, kind: str) -> np.ndarray:
 
 def _hidden_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (pre > 0.0).astype(float)
+        return pre > 0.0  # a boolean factor multiplies as 1.0 or 0.0
     return post * (1.0 - post)
 
 
@@ -159,11 +189,12 @@ def _encode_batch(prior: VaePrior, batch: np.ndarray):
 
 
 def _decode_batch(prior: VaePrior, z: np.ndarray):
+    """Decoder pass over latents (n, latent); a stack of P priors takes (P, n, latent)."""
     p = prior.params
     act = prior.arch.hidden_activation
-    hd_pre = z @ p["dec_w1"].T + p["dec_b1"]
+    hd_pre = z @ p["dec_w1"].swapaxes(-1, -2) + p["dec_b1"][..., None, :]
     hd = _hidden(hd_pre, act)
-    out = _sigmoid(hd @ p["dec_wout"].T + p["dec_bout"])
+    out = _sigmoid(hd @ p["dec_wout"].swapaxes(-1, -2) + p["dec_bout"][..., None, :])
     return hd_pre, hd, out
 
 
@@ -189,6 +220,15 @@ def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
     return max(kl, 0.0)
 
 
+def _report(resid: np.ndarray, mu: np.ndarray, var: np.ndarray, sigma2: float) -> ElboReport:
+    """Batch means of the bound's terms; ``resid`` is the batch minus its decoding."""
+    n = resid.shape[0]
+    recon = float((-(resid**2).sum(axis=1) / (2.0 * sigma2)).sum()) / n
+    kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
+    kl = max(float(kl_terms.sum()) / n, 0.0)
+    return ElboReport(reconstruction=recon, kl=kl, elbo=recon - kl)
+
+
 def elbo_given_noise(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
 ) -> ElboReport:
@@ -197,11 +237,7 @@ def elbo_given_noise(
     _, _, mu, _, var = _encode_batch(prior, batch)
     z = mu + np.sqrt(var) * xi
     _, _, out = _decode_batch(prior, z)
-    sigma2 = prior.arch.decoder_variance
-    recon = float(np.mean(-((batch - out) ** 2).sum(axis=1) / (2.0 * sigma2)))
-    kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
-    kl = max(float(np.mean(kl_terms)), 0.0)
-    return ElboReport(reconstruction=recon, kl=kl, elbo=recon - kl)
+    return _report(batch - out, mu, var, prior.arch.decoder_variance)
 
 
 def elbo(prior: VaePrior, batch: np.ndarray, rng: np.random.Generator) -> ElboReport:
@@ -219,48 +255,44 @@ def elbo_gradients(
     Backpropagates the reconstruction term through the decoder and the
     reparameterized z into the encoder, and adds the closed-form KL
     gradients d/dmu = mu, d/dvar = (1 - 1/var) / 2 on the encoder heads.
+    The gradients are written into ``prior.grad`` and returned as its named
+    views ``prior.grads``, which the next call overwrites.
     """
-    p = prior.params
+    p, g = prior.params, prior.grads
     act = prior.arch.hidden_activation
     batch = np.asarray(batch, dtype=float)
-    n = batch.shape[0]
     sigma2 = prior.arch.decoder_variance
 
     he_pre, he, mu, var_pre, var = _encode_batch(prior, batch)
     sd = np.sqrt(var)
     z = mu + sd * xi
     hd_pre, hd, out = _decode_batch(prior, z)
+    resid = batch - out
+    report = _report(resid, mu, var, sigma2)
 
-    recon = float(np.mean(-((batch - out) ** 2).sum(axis=1) / (2.0 * sigma2)))
-    kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
-    kl = max(float(np.mean(kl_terms)), 0.0)
-    report = ElboReport(reconstruction=recon, kl=kl, elbo=recon - kl)
-
-    scale = 1.0 / n
-    d_out_pre = ((batch - out) / sigma2 * scale) * out * (1.0 - out)
-    g = {
-        "dec_wout": d_out_pre.T @ hd,
-        "dec_bout": d_out_pre.sum(axis=0),
-    }
+    scale = 1.0 / batch.shape[0]
+    d_out_pre = (resid / sigma2 * scale) * out * (1.0 - out)
+    np.matmul(d_out_pre.T, hd, out=g["dec_wout"])
+    d_out_pre.sum(axis=0, out=g["dec_bout"])
     d_hd_pre = (d_out_pre @ p["dec_wout"]) * _hidden_grad(hd_pre, hd, act)
-    g["dec_w1"] = d_hd_pre.T @ z
-    g["dec_b1"] = d_hd_pre.sum(axis=0)
+    np.matmul(d_hd_pre.T, z, out=g["dec_w1"])
+    d_hd_pre.sum(axis=0, out=g["dec_b1"])
 
     d_z = d_hd_pre @ p["dec_w1"]
     d_mu = d_z - mu * scale
     d_var = d_z * xi / (2.0 * sd) - 0.5 * (1.0 - 1.0 / var) * scale
     d_var_pre = d_var * (var_pre > 0.0)
 
-    g["enc_wmu"] = d_mu.T @ he
-    g["enc_bmu"] = d_mu.sum(axis=0)
-    g["enc_wvar"] = d_var_pre.T @ he
-    g["enc_bvar"] = d_var_pre.sum(axis=0)
+    np.matmul(d_mu.T, he, out=g["enc_wmu"])
+    d_mu.sum(axis=0, out=g["enc_bmu"])
+    np.matmul(d_var_pre.T, he, out=g["enc_wvar"])
+    d_var_pre.sum(axis=0, out=g["enc_bvar"])
 
     d_he_pre = (d_mu @ p["enc_wmu"] + d_var_pre @ p["enc_wvar"]) * _hidden_grad(
         he_pre, he, act
     )
-    g["enc_w1"] = d_he_pre.T @ batch
-    g["enc_b1"] = d_he_pre.sum(axis=0)
+    np.matmul(d_he_pre.T, batch, out=g["enc_w1"])
+    d_he_pre.sum(axis=0, out=g["enc_b1"])
     return report, g
 
 
@@ -270,10 +302,9 @@ def train_step(
     """One fixed-step gradient ascent update on a fresh single-noise bound."""
     batch = np.asarray(batch, dtype=float)
     xi = rng.standard_normal((batch.shape[0], prior.arch.latent_dim))
-    report, grads = elbo_gradients(prior, batch, xi)
+    report, _ = elbo_gradients(prior, batch, xi)
     if prior.step_size != 0.0:
-        for name, grad in grads.items():
-            prior.params[name] += prior.step_size * grad
+        prior.flat += prior.step_size * prior.grad
     prior.train_steps += 1
     return report
 
@@ -285,10 +316,14 @@ def sample_action(prior: VaePrior, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_actions(prior: VaePrior, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Decode ``n`` latents drawn from N(0, I); shape (n, input_dim)."""
-    z = rng.standard_normal((n, prior.arch.latent_dim))
-    _, _, out = _decode_batch(prior, z)
-    return out
+    """Decode ``n`` latents drawn from N(0, I) per prior.
+
+    Returns shape (n, input_dim), or (P, n, input_dim) for a stack of P
+    priors, whose latents are one (P, n, latent_dim) draw: the same numbers,
+    and the same generator state after, as P draws of (n, latent_dim).
+    """
+    z = rng.standard_normal((*prior.flat.shape[:-1], n, prior.arch.latent_dim))
+    return _decode_batch(prior, z)[2]
 
 
 def save_weights(prior: VaePrior, out: IO[str]) -> None:
@@ -301,8 +336,7 @@ def save_weights(prior: VaePrior, out: IO[str]) -> None:
     )
     out.write(f"step_size {repr(prior.step_size)}\n")
     out.write(f"train_steps {prior.train_steps}\n")
-    for name in _PARAM_NAMES:
-        arr = prior.params[name]
+    for name, arr in prior.params.items():
         dims = " ".join(str(s) for s in arr.shape)
         out.write(f"{name} {dims}\n")
         out.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
@@ -323,15 +357,21 @@ def load_weights(src: IO[str]) -> VaePrior:
     )
     step_size = float(src.readline().split()[1])
     train_steps = int(src.readline().split()[1])
-    params: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}
     for line in src:
         head = line.split()
         if not head:
             continue
         name, dims = head[0], tuple(int(d) for d in head[1:])
         values = np.array([float(v) for v in src.readline().split()])
-        params[name] = values.reshape(dims)
-    missing = set(_PARAM_NAMES) - set(params)
+        arrays[name] = values.reshape(dims)
+    prior = zero_vae(arch, step_size)
+    prior.train_steps = train_steps
+    missing = set(prior.params) - set(arrays)
     if missing:
         raise ValueError(f"weight snapshot missing arrays: {sorted(missing)}")
-    return VaePrior(arch=arch, params=params, step_size=step_size, train_steps=train_steps)
+    for name, view in prior.params.items():
+        if arrays[name].shape != view.shape:
+            raise ValueError(f"weight snapshot array {name} has shape {arrays[name].shape}")
+        view[...] = arrays[name]
+    return prior

@@ -57,7 +57,7 @@ def test_zero_action_steps_returns_seed(gaussian_task):
 def test_untrained_zero_vae_seeds_at_center(gaussian_task):
     cfg = _single_config(10, 10)
     system = DecisionSystem(gaussian_task, cfg, make_rng(0))
-    system.vaes[0] = zero_vae(VaeArch())
+    zero_vae(VaeArch(), flat=system.vaes[0].flat)  # zeroes the prior's bank row
     record = system.run_episode(0)
     assert record.seed_action[0] == 0.5
 

@@ -340,6 +340,11 @@ REJECTED_VALUES = [
     "num_worlds = 0",
     "grid_size = 1",
     "hidden_activation = tanh",
+    "step_size = -1",
+    "step_size = nan",
+    "tol = 0",
+    "tol = -1",
+    "max_iter = 0",
     "out = elsewhere",
 ]
 

@@ -10,6 +10,7 @@ from brdm.mcmc import (
     ChainResult,
     SelectionConfig,
     anneal_gamma,
+    draw_index,
     dump_trace,
     mh_accept_prob,
     reflect01,
@@ -294,6 +295,18 @@ def test_selection_chain_empty_candidates_error():
     cfg = SelectionConfig()
     with pytest.raises(ValueError):
         run_selection_chain([], np.array([]), cfg, 10, make_rng(0))
+
+
+def test_draw_index_matches_rng_choice():
+    # the start draw of the selection chain and of the no-selection branch
+    counts = [np.zeros(3), np.array([4.0, 0.0, 11.0]), np.array([0.0, 250.0, 3.0, 7.0])]
+    pxs = [(c + 1.0) / (c + 1.0).sum() for c in counts]  # add-one smoothed, as used
+    pxs += [np.array([1.0]), np.array([0.5, 0.5]), np.array([0.1, 0.0, 0.2, 0.7])]
+    for px in pxs:
+        for seed in range(2000):
+            a, b = make_rng(seed), make_rng(seed)
+            assert draw_index(px, a) == int(b.choice(len(px), p=px))
+            assert a.random() == b.random()
 
 
 def test_selection_chain_uniform_at_zero_gamma():

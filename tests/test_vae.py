@@ -18,6 +18,7 @@ from brdm.vae import (
     init_vae,
     kl_to_standard_normal,
     load_weights,
+    param_count,
     sample_action,
     sample_actions,
     save_weights,
@@ -161,6 +162,168 @@ def test_gradient_check_against_finite_differences(activation):
             np.maximum(np.abs(grad.ravel()), np.abs(fd)), 1e-6
         )
         assert rel.max() < 1e-4, f"{name}: worst rel err {rel.max():.2e}"
+
+
+# The training step and decoder as they were written before the parameters
+# became views into one flat vector, kept verbatim (on a dict of separate
+# arrays) as the reference for bit-identity.
+def _reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_hidden(pre, kind):
+    if kind == "relu":
+        return np.maximum(pre, 0.0)
+    return _reference_sigmoid(pre)
+
+
+def _reference_hidden_grad(pre, post, kind):
+    if kind == "relu":
+        return (pre > 0.0).astype(float)
+    return post * (1.0 - post)
+
+
+def _reference_encode_batch(p, act, batch):
+    he_pre = batch @ p["enc_w1"].T + p["enc_b1"]
+    he = _reference_hidden(he_pre, act)
+    mu = he @ p["enc_wmu"].T + p["enc_bmu"]
+    var_pre = he @ p["enc_wvar"].T + p["enc_bvar"]
+    var = np.maximum(var_pre, 0.0) + VAR_FLOOR
+    return he_pre, he, mu, var_pre, var
+
+
+def _reference_decode_batch(p, act, z):
+    hd_pre = z @ p["dec_w1"].T + p["dec_b1"]
+    hd = _reference_hidden(hd_pre, act)
+    out = _reference_sigmoid(hd @ p["dec_wout"].T + p["dec_bout"])
+    return hd_pre, hd, out
+
+
+def _reference_elbo_gradients(p, arch, batch, xi):
+    act = arch.hidden_activation
+    batch = np.asarray(batch, dtype=float)
+    n = batch.shape[0]
+    sigma2 = arch.decoder_variance
+
+    he_pre, he, mu, var_pre, var = _reference_encode_batch(p, act, batch)
+    sd = np.sqrt(var)
+    z = mu + sd * xi
+    hd_pre, hd, out = _reference_decode_batch(p, act, z)
+
+    recon = float(np.mean(-((batch - out) ** 2).sum(axis=1) / (2.0 * sigma2)))
+    kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
+    kl = max(float(np.mean(kl_terms)), 0.0)
+    report = ElboReport(reconstruction=recon, kl=kl, elbo=recon - kl)
+
+    scale = 1.0 / n
+    d_out_pre = ((batch - out) / sigma2 * scale) * out * (1.0 - out)
+    g = {
+        "dec_wout": d_out_pre.T @ hd,
+        "dec_bout": d_out_pre.sum(axis=0),
+    }
+    d_hd_pre = (d_out_pre @ p["dec_wout"]) * _reference_hidden_grad(hd_pre, hd, act)
+    g["dec_w1"] = d_hd_pre.T @ z
+    g["dec_b1"] = d_hd_pre.sum(axis=0)
+
+    d_z = d_hd_pre @ p["dec_w1"]
+    d_mu = d_z - mu * scale
+    d_var = d_z * xi / (2.0 * sd) - 0.5 * (1.0 - 1.0 / var) * scale
+    d_var_pre = d_var * (var_pre > 0.0)
+
+    g["enc_wmu"] = d_mu.T @ he
+    g["enc_bmu"] = d_mu.sum(axis=0)
+    g["enc_wvar"] = d_var_pre.T @ he
+    g["enc_bvar"] = d_var_pre.sum(axis=0)
+
+    d_he_pre = (d_mu @ p["enc_wmu"] + d_var_pre @ p["enc_wvar"]) * _reference_hidden_grad(
+        he_pre, he, act
+    )
+    g["enc_w1"] = d_he_pre.T @ batch
+    g["enc_b1"] = d_he_pre.sum(axis=0)
+    return report, g
+
+
+def _reference_train_step(p, arch, step_size, batch, rng):
+    batch = np.asarray(batch, dtype=float)
+    xi = rng.standard_normal((batch.shape[0], arch.latent_dim))
+    report, grads = _reference_elbo_gradients(p, arch, batch, xi)
+    if step_size != 0.0:
+        for name, grad in grads.items():
+            p[name] += step_size * grad
+    return report, grads
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("step_size", [0.0, 0.01])
+def test_train_step_matches_reference_implementation(activation, step_size):
+    arch = VaeArch(hidden_activation=activation)
+    prior = init_vae(arch, make_rng(31), step_size)
+    ref = {name: arr.copy() for name, arr in prior.params.items()}
+    data = make_rng(32)
+    for i in range(300):
+        # actions in the box, with every 50th batch at the box's corners
+        batch = data.uniform(0.0, 1.0, size=(int(data.integers(1, 40)), 1))
+        if i % 50 == 0:
+            batch = np.round(batch)
+        a, b = make_rng(1000 + i), make_rng(1000 + i)
+        report = train_step(prior, batch, a)
+        ref_report, ref_grads = _reference_train_step(ref, arch, step_size, batch, b)
+        assert (report.reconstruction, report.kl, report.elbo) == (
+            ref_report.reconstruction,
+            ref_report.kl,
+            ref_report.elbo,
+        )
+        for name, arr in prior.params.items():
+            assert prior.grads[name].tobytes() == ref_grads[name].tobytes(), name
+            assert arr.tobytes() == ref[name].tobytes(), name
+        assert a.random() == b.random()
+    assert prior.train_steps == 300
+
+
+def _bank(arch, num, rng):
+    bank = np.empty((num, param_count(arch)))
+    priors = [init_vae(arch, rng, 0.05, row) for row in bank]
+    return VaePrior(arch, bank), priors
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("num", [1, 3])
+def test_stacked_sampling_matches_per_prior_decodes(activation, num):
+    arch = VaeArch(hidden_activation=activation)
+    rng = make_rng(40 + num)
+    stack, priors = _bank(arch, num, rng)
+    for trial in range(200):
+        # training writes each prior's row of the bank in place
+        x = trial % num
+        train_step(priors[x], rng.uniform(0.0, 1.0, size=(8, 1)), rng)
+        m = 1 + trial % 5
+        a, b = make_rng(trial), make_rng(trial)
+        stacked = sample_actions(stack, m, a)
+        assert stacked.shape == (num, m, 1)
+        for p, prior in enumerate(priors):
+            z = b.standard_normal((m, arch.latent_dim))
+            ref = {name: arr.copy() for name, arr in prior.params.items()}
+            _, _, out = _reference_decode_batch(ref, activation, z)
+            assert stacked[p].tobytes() == out.tobytes()
+        assert a.random() == b.random()
+
+
+def test_param_views_write_through_to_flat_buffers():
+    arch = VaeArch(input_dim=2, hidden_dim=5, latent_dim=3)
+    stack, priors = _bank(arch, 3, make_rng(50))
+    for p, prior in enumerate(priors):
+        assert prior.flat.base is stack.flat
+        for name, arr in prior.params.items():
+            assert arr.flags.c_contiguous
+            view = arr.ravel()
+            view[-1] = 1000.0 * p + 7.0  # as the finite-difference checks write
+            assert stack.params[name][p].ravel()[-1] == 1000.0 * p + 7.0
+        assert (prior.flat == np.concatenate([a.ravel() for a in prior.params.values()])).all()
 
 
 def test_train_step_zero_step_size_is_identity():
