@@ -19,6 +19,7 @@ the cached estimates and cost no evaluations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -104,9 +105,10 @@ class MultinomialPrior:
     counts: np.ndarray
 
     @property
-    def px(self) -> np.ndarray:
-        smoothed = self.counts + 1.0
-        return smoothed / smoothed.sum()
+    def px(self) -> list[float]:
+        smoothed = [c + 1 for c in self.counts.tolist()]
+        total = sum(smoothed)  # an exact integer for any number of priors
+        return [s / total for s in smoothed]
 
     def update(self, x: int) -> None:
         self.counts[x] += 1
@@ -131,7 +133,7 @@ class _RingBuffer:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self._count, size=n)
-        return self._data[idx]
+        return self._data.take(idx, axis=0)
 
 
 class DecisionSystem:
@@ -163,7 +165,7 @@ class DecisionSystem:
             _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
         ]
         self.multinomial = MultinomialPrior(np.zeros(cfg.num_priors, dtype=np.int64))
-        self._rho_cum = np.cumsum(world.rho)
+        self._rho_cum = np.cumsum(world.rho).tolist()
         self._select = cfg.num_priors > 1 and cfg.budget.selection_steps > 0
         self._expected_evals = cfg.budget.action_steps + 1
         if self._select:
@@ -171,7 +173,7 @@ class DecisionSystem:
 
     def draw_world(self, rng: np.random.Generator | None = None) -> int:
         rng = self.rng if rng is None else rng
-        return int(np.searchsorted(self._rho_cum, rng.random(), side="right"))
+        return bisect_right(self._rho_cum, rng.random())
 
     def run_episode(self, w: int, rng: np.random.Generator | None = None) -> EpisodeRecord:
         """One decision episode for world ``w``; updates buffers and counts.
@@ -247,7 +249,7 @@ def train_system(
 
 
 def _component_str(a: np.ndarray) -> str:
-    return ";".join(format(float(c), ".12g") for c in np.atleast_1d(a))
+    return ";".join(format(c, ".12g") for c in a.tolist())
 
 
 def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:
@@ -276,6 +278,10 @@ def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int = 1
         raise ValueError("bins must be >= 1")
     worlds = np.array([r.world for r in records])
     decisions = np.array([float(r.decision[0]) for r in records])
+    if not np.isfinite(decisions).all():
+        raise ValueError(
+            "non-finite decisions in the episode log (diverged VAE weights; lower step_size)"
+        )
     num_worlds = int(worlds.max()) + 1
     slot = np.minimum((decisions * bins).astype(int), bins - 1)
     joint = np.zeros((num_worlds, bins))

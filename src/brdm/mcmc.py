@@ -15,7 +15,9 @@ utility evaluations (one for the seed plus one per proposal).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Sequence
 
 import numpy as np
@@ -144,19 +146,24 @@ def run_action_chain(
     )
 
 
-def draw_index(px: np.ndarray, rng: np.random.Generator) -> int:
+def draw_index(px: Sequence[float], rng: np.random.Generator) -> int:
     """Index drawn with probabilities ``px`` from one uniform.
 
     The same index as ``rng.choice(len(px), p=px)``, which leaves the
-    generator in the same state, without that call's argument checks.
+    generator in the same state, without that call's argument checks: the
+    running sums are normalized by their last entry, as ``rng.choice``
+    does. Raises ``ValueError`` unless that total is positive and finite.
     """
-    cdf = np.cumsum(px)
-    return int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))
+    cdf = list(accumulate(px))
+    total = cdf[-1]
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"selection probabilities must have a positive finite sum, not {total}")
+    return bisect_right([c / total for c in cdf], rng.random())
 
 
 def run_selection_chain(
     candidate_estimates: Sequence[float],
-    px: np.ndarray,
+    px: Sequence[float],
     cfg: SelectionConfig,
     steps: int,
     rng: np.random.Generator,

@@ -12,7 +12,8 @@ layer. Training ascends the single-noise-sample bound
 with plain fixed-step gradient ascent. The constant Gaussian log-normalizer
 is dropped from the reconstruction term. Gradients are exact for this
 objective (reparameterization path included), which keeps them checkable
-against finite differences.
+against finite differences. The report a training step returns is computed
+only when it is read.
 
 A trained prior generates actions by decoding latents drawn from N(0, I).
 
@@ -27,6 +28,7 @@ time; read-only sampling is safe between training steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import IO
@@ -247,20 +249,19 @@ def elbo(prior: VaePrior, batch: np.ndarray, rng: np.random.Generator) -> ElboRe
     return elbo_given_noise(prior, batch, xi)
 
 
-def elbo_gradients(
+def _backprop(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
-) -> tuple[ElboReport, dict[str, np.ndarray]]:
-    """Value and exact ascent gradients of the fixed-noise bound.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact ascent gradients of the fixed-noise bound, written into ``prior.grad``.
 
     Backpropagates the reconstruction term through the decoder and the
     reparameterized z into the encoder, and adds the closed-form KL
     gradients d/dmu = mu, d/dvar = (1 - 1/var) / 2 on the encoder heads.
-    The gradients are written into ``prior.grad`` and returned as its named
-    views ``prior.grads``, which the next call overwrites.
+    Returns the residual ``batch - decode(z)`` and the posterior means and
+    variances, fresh arrays that :func:`_report` turns into the bound's terms.
     """
     p, g = prior.params, prior.grads
     act = prior.arch.hidden_activation
-    batch = np.asarray(batch, dtype=float)
     sigma2 = prior.arch.decoder_variance
 
     he_pre, he, mu, var_pre, var = _encode_batch(prior, batch)
@@ -268,7 +269,6 @@ def elbo_gradients(
     z = mu + sd * xi
     hd_pre, hd, out = _decode_batch(prior, z)
     resid = batch - out
-    report = _report(resid, mu, var, sigma2)
 
     scale = 1.0 / batch.shape[0]
     d_out_pre = (resid / sigma2 * scale) * out * (1.0 - out)
@@ -293,16 +293,55 @@ def elbo_gradients(
     )
     np.matmul(d_he_pre.T, batch, out=g["enc_w1"])
     d_he_pre.sum(axis=0, out=g["enc_b1"])
-    return report, g
+    return resid, mu, var
+
+
+def elbo_gradients(
+    prior: VaePrior, batch: np.ndarray, xi: np.ndarray
+) -> tuple[ElboReport, dict[str, np.ndarray]]:
+    """Value and exact ascent gradients of the fixed-noise bound.
+
+    The gradients are written into ``prior.grad`` and returned as its named
+    views ``prior.grads``, which the next call overwrites.
+    """
+    resid, mu, var = _backprop(prior, np.asarray(batch, dtype=float), xi)
+    return _report(resid, mu, var, prior.arch.decoder_variance), prior.grads
+
+
+class DeferredReport:
+    """The :class:`ElboReport` of one training step, computed when first read.
+
+    It keeps the step's residual, posterior means and variances, which no
+    later step overwrites, so a report read late still describes its step.
+    """
+
+    def __init__(self, resid: np.ndarray, mu: np.ndarray, var: np.ndarray, sigma2: float):
+        self._terms = (resid, mu, var, sigma2)
+
+    @functools.cached_property
+    def report(self) -> ElboReport:
+        return _report(*self._terms)
+
+    @property
+    def reconstruction(self) -> float:
+        return self.report.reconstruction
+
+    @property
+    def kl(self) -> float:
+        return self.report.kl
+
+    @property
+    def elbo(self) -> float:
+        return self.report.elbo
 
 
 def train_step(
     prior: VaePrior, batch: np.ndarray, rng: np.random.Generator
-) -> ElboReport:
+) -> DeferredReport:
     """One fixed-step gradient ascent update on a fresh single-noise bound."""
     batch = np.asarray(batch, dtype=float)
     xi = rng.standard_normal((batch.shape[0], prior.arch.latent_dim))
-    report, _ = elbo_gradients(prior, batch, xi)
+    report = DeferredReport(*_backprop(prior, batch, xi), prior.arch.decoder_variance)
     if prior.step_size != 0.0:
         prior.flat += prior.step_size * prior.grad
     prior.train_steps += 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brdm.agents import (
+    _component_str,
     BudgetSplit,
     DecisionSystem,
     EpisodeRecord,
@@ -36,7 +37,7 @@ def test_multinomial_prior_smoothing():
     prior.update(1)
     prior.update(1)
     assert np.allclose(prior.px, [1 / 5, 3 / 5, 1 / 5])
-    assert prior.px.sum() == pytest.approx(1.0)
+    assert sum(prior.px) == pytest.approx(1.0)
 
 
 def _single_config(total, action, **kw):
@@ -182,6 +183,50 @@ def test_episode_csv_format(gaussian_task):
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert len(fields) == 8
+
+
+def _reference_component_str(a):
+    return ";".join(format(float(c), ".12g") for c in np.atleast_1d(a))
+
+
+def test_component_str_matches_reference_implementation():
+    values = [1e-5, 0.1, 1.0, float("nan"), 0.0, 0.5, 1 / 3, 0.123456789012345, 2e-300]
+    rng = make_rng(6)
+    cases = [np.array([v]) for v in values]
+    cases += [np.array([u, v]) for u in values for v in values]
+    cases += [rng.uniform(0.0, 1.0, size=d) for d in (1, 2) for _ in range(500)]
+    for a in cases:
+        assert _component_str(a) == _reference_component_str(a)
+
+
+def _reference_draw_world(rho, rng):
+    return int(np.searchsorted(np.cumsum(rho), rng.random(), side="right"))
+
+
+@pytest.mark.parametrize(
+    "rho", [np.full(6, 1 / 6), np.array([0.05, 0.0, 0.4, 0.25, 0.3])], ids=["uniform", "skewed"]
+)
+def test_draw_world_matches_reference_implementation(rho):
+    world = WorldModel(num_worlds=len(rho), rho=rho, utility=lambda w, a: 0.0)
+    system = DecisionSystem(world, SystemConfig(num_priors=1), make_rng(0))
+    picked = set()
+    for seed in range(3000):
+        a, b = make_rng(seed), make_rng(seed)
+        w = system.draw_world(a)
+        assert w == _reference_draw_world(rho, b)
+        assert a.random() == b.random()
+        picked.add(w)
+    assert picked == {w for w in range(len(rho)) if rho[w] > 0.0}
+
+
+def test_empirical_mi_rejects_non_finite_decisions():
+    records = [
+        EpisodeRecord(w, 0, np.array([0.5]), np.array([(w + 0.5) / 6]), 1.0, 1.0, 1)
+        for w in range(6)
+    ]
+    records[3] = EpisodeRecord(3, 0, np.array([0.5]), np.array([np.nan]), 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="non-finite decisions"):
+        empirical_mutual_information(records, 100)
 
 
 def test_selection_prefers_matching_prior_after_training(gaussian_task):

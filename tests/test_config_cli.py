@@ -366,6 +366,20 @@ def test_rejected_value_exits_1_before_out_is_touched(tmp_path, line):
     assert log.read_text() == "kept\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+def test_diverged_decisions_exit_2_without_traceback(tmp_path, capsys):
+    # a step size this large drives the VAE weights, and so the decisions, to NaN
+    cfgfile = tmp_path / "diverge.cfg"
+    cfgfile.write_text(
+        "agent_kinds = multi\ntotal_steps = 20\nselection_steps = 5\n"
+        "episodes = 300\nreplicates = 1\nstep_size = 1000\nworkers = 1\n"
+    )
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: non-finite decisions")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_main_run_and_plot_end_to_end(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(

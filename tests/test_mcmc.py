@@ -303,10 +303,19 @@ def test_draw_index_matches_rng_choice():
     pxs = [(c + 1.0) / (c + 1.0).sum() for c in counts]  # add-one smoothed, as used
     pxs += [np.array([1.0]), np.array([0.5, 0.5]), np.array([0.1, 0.0, 0.2, 0.7])]
     for px in pxs:
-        for seed in range(2000):
-            a, b = make_rng(seed), make_rng(seed)
-            assert draw_index(px, a) == int(b.choice(len(px), p=px))
-            assert a.random() == b.random()
+        for given in (px, px.tolist()):
+            for seed in range(2000):
+                a, b = make_rng(seed), make_rng(seed)
+                assert draw_index(given, a) == int(b.choice(len(px), p=px))
+                assert a.random() == b.random()
+
+
+@pytest.mark.parametrize(
+    "px", [[0.0, 0.0], [0.0], [float("nan"), 0.5], [0.5, float("inf")], np.zeros(3)]
+)
+def test_draw_index_rejects_a_total_that_is_not_positive_and_finite(px):
+    with pytest.raises(ValueError, match="positive finite sum"):
+        draw_index(px, make_rng(0))
 
 
 def test_selection_chain_uniform_at_zero_gamma():

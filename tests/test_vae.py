@@ -26,6 +26,7 @@ from brdm.vae import (
     zero_vae,
     _decode_batch,
     _encode_batch,
+    _report,
 )
 
 
@@ -283,6 +284,31 @@ def test_train_step_matches_reference_implementation(activation, step_size):
             assert arr.tobytes() == ref[name].tobytes(), name
         assert a.random() == b.random()
     assert prior.train_steps == 300
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_deferred_report_read_late_equals_eager_report(activation):
+    arch = VaeArch(hidden_activation=activation)
+    prior = init_vae(arch, make_rng(33), 0.05)
+    data = make_rng(34)
+    reports, eager = [], []
+    for i in range(60):
+        batch = data.uniform(0.0, 1.0, size=(int(data.integers(1, 40)), 1))
+        a, b = make_rng(2000 + i), make_rng(2000 + i)
+        # the same fixed-noise bound at the weights the step starts from
+        xi = b.standard_normal((batch.shape[0], arch.latent_dim))
+        _, _, mu, _, var = _encode_batch(prior, batch)
+        _, _, out = _decode_batch(prior, mu + np.sqrt(var) * xi)
+        eager.append(_report(batch - out, mu, var, arch.decoder_variance))
+        reports.append(train_step(prior, batch, a))
+    # read only after every later step has rewritten the weights and gradients
+    for report, expected in zip(reports, eager):
+        assert (report.reconstruction, report.kl, report.elbo) == (
+            expected.reconstruction,
+            expected.kl,
+            expected.elbo,
+        )
+        assert report.report == expected
 
 
 def _bank(arch, num, rng):
