@@ -19,6 +19,7 @@ the cached estimates and cost no evaluations.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -165,7 +166,11 @@ class DecisionSystem:
             _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
         ]
         self.multinomial = MultinomialPrior(np.zeros(cfg.num_priors, dtype=np.int64))
-        self._rho_cum = np.cumsum(world.rho).tolist()
+        # The running sum can end below 1 by rounding, and a uniform above it
+        # would pick past the last world: the entries that reach the total
+        # become inf, which moves no pick below the total.
+        cum = np.cumsum(world.rho).tolist()
+        self._rho_cum = [math.inf if c == cum[-1] else c for c in cum]
         self._select = cfg.num_priors > 1 and cfg.budget.selection_steps > 0
         self._expected_evals = cfg.budget.action_steps + 1
         if self._select:
@@ -190,7 +195,7 @@ class DecisionSystem:
             m = self.cfg.selection.utility_samples
             estimates = [
                 sum(world.utility(w, a) for a in draws) / m
-                for draws in sample_actions(self._stack, m, rng)
+                for draws in sample_actions(self._stack, m, rng).tolist()
             ]
             evals += m * self.cfg.num_priors
             x = run_selection_chain(

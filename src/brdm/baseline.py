@@ -107,11 +107,10 @@ def utility_table(world: WorldModel, grid: np.ndarray) -> np.ndarray:
     if world.action_dim != 1:
         raise ValueError("grid solvers support action_dim == 1 only")
     table = np.empty((world.num_worlds, grid.size))
-    point = np.empty(1)
+    points = grid.tolist()
     for w in range(world.num_worlds):
-        for j, g in enumerate(grid):
-            point[0] = g
-            table[w, j] = world.utility(w, point)
+        for j, g in enumerate(points):
+            table[w, j] = world.utility(w, [g])
     return table
 
 

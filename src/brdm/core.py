@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 # A world's utility is evaluated as utility(world_index, action) -> float,
-# with action a float vector of shape (action_dim,) inside [0, 1]^d. Callers
-# may reuse that array and overwrite it after the call returns, so a utility
-# must copy it if it keeps it.
-UtilityFn = Callable[[int, np.ndarray], float]
+# with action a sequence of action_dim floats inside [0, 1]^d that the caller
+# never mutates after the call, so a utility may keep it. The chains pass
+# lists of Python floats; a utility that needs numpy calls np.asarray(action).
+UtilityFn = Callable[[int, Sequence[float]], float]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -96,11 +96,15 @@ class GaussianTaskSpec:
 
 
 def make_gaussian_task(spec: GaussianTaskSpec) -> WorldModel:
-    """Uniform rho over worlds; U(w, a) = exp(-(a - means[w])^2 / (2 width^2))."""
+    """Uniform rho over worlds; U(w, a) = exp(-(a - means[w])^2 / (2 width^2)).
+
+    The utility reads ``a[0]`` only, so any float sequence of length one
+    serves as the action.
+    """
     means = spec.means
     denom = 2.0 * spec.width * spec.width
 
-    def utility(w: int, a: np.ndarray) -> float:
+    def utility(w: int, a: Sequence[float]) -> float:
         diff = a[0] - means[w]
         return math.exp(-(diff * diff) / denom)
 

@@ -111,7 +111,10 @@ def run_cell(
     )
     sys_cfg = system_config(cfg, cell.kind, budget)
     rng = spawn_rng(cfg.seed, cell.index)
-    _, records = train_system(world, sys_cfg, cfg.episodes, rng)
+    # Diverging VAE weights overflow to inf and NaN; the summary's
+    # non-finite check reports that once, in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, records = train_system(world, sys_cfg, cfg.episodes, rng)
     if out_dir is not None:
         with open(Path(out_dir) / episode_log_name(cell), "w", newline="\n") as fh:
             write_episode_csv(records, fh)

@@ -14,6 +14,7 @@ utility evaluations (one for the seed plus one per proposal).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ def anneal_gamma(k: float, gamma0: float, alpha: float) -> float:
     return gamma0 + alpha * math.log1p(k)
 
 
+@functools.lru_cache(maxsize=64)
+def anneal_schedule(gamma0: float, alpha: float, steps: int) -> tuple[float, ...]:
+    """``anneal_gamma`` at steps 0 .. steps - 1, built once per argument triple."""
+    return tuple(anneal_gamma(k, gamma0, alpha) for k in range(steps))
+
+
 def mh_accept_prob(u_new: float, u_old: float, gamma: float) -> float:
     """min{1, exp(gamma (u_new - u_old))}; uphill moves always accepted."""
     x = gamma * (u_new - u_old)
@@ -87,9 +94,9 @@ def mh_accept_prob(u_new: float, u_old: float, gamma: float) -> float:
     return math.exp(x)
 
 
-def reflect01(x: float) -> float:
-    """Fold a coordinate back into [0, 1] by reflection at the walls."""
-    r = x % 2.0
+def reflect01(x: float, step: float = 0.0) -> float:
+    """Fold the coordinate ``x + step`` back into [0, 1] by reflection at the walls."""
+    r = (x + step) % 2.0
     return 2.0 - r if r > 1.0 else r
 
 
@@ -105,31 +112,27 @@ def run_action_chain(
     """Anneal an MH chain over U(w, .) for ``steps`` steps from ``seed_action``.
 
     The noise and uniforms are drawn as two blocks up front; the steps then
-    run on Python floats. Each proposal is written into one reused buffer,
-    which is the array ``world.utility`` receives. With ``steps == 0`` the
-    seed is the decision, and the zero-size draws leave ``rng`` unchanged.
+    run on Python floats. Each proposal is a fresh list of floats, which is
+    what ``world.utility`` receives and what the chain keeps when it
+    accepts. With ``steps == 0`` the seed is the decision, and the zero-size
+    draws leave ``rng`` unchanged.
     """
-    buf = np.array(seed_action, dtype=float)
-    u = world.utility(w, buf)
+    state = np.asarray(seed_action, dtype=float).tolist()
+    u = world.utility(w, state)
     seed_u = u
-    state = buf.tolist()
 
-    d = len(state)
-    noise = rng.normal(0.0, cfg.proposal_sigma, size=(steps, d)).tolist()
+    noise = rng.normal(0.0, cfg.proposal_sigma, size=(steps, len(state))).tolist()
     log_unif = np.log(rng.random(steps)).tolist()
-    gamma0, alpha = cfg.gamma0, cfg.alpha
+    schedule = anneal_schedule(cfg.gamma0, cfg.alpha, steps)
     utility = world.utility
-    dims = range(d)
 
     trace: list[tuple[np.ndarray, float, bool]] = []
     accepted = 0
-    for k, (step, lu) in enumerate(zip(noise, log_unif)):
-        prop = [0.0] * d
-        for i in dims:
-            prop[i] = buf[i] = reflect01(state[i] + step[i])
-        pu = utility(w, buf)
+    for gamma, step, lu in zip(schedule, noise, log_unif):
+        prop = [*map(reflect01, state, step)]
+        pu = utility(w, prop)
         du = pu - u
-        ok = du >= 0.0 or lu < (gamma0 + alpha * math.log1p(k)) * du
+        ok = du >= 0.0 or lu < gamma * du
         if ok:
             state, u = prop, pu
             accepted += 1
@@ -186,10 +189,10 @@ def run_selection_chain(
     est = [float(v) for v in candidate_estimates]
     props = rng.integers(0, num, size=steps).tolist()
     log_unif = np.log(rng.random(steps)).tolist()
-    gamma0, alpha = cfg.gamma_sel0, cfg.alpha_sel
-    for k, (xp, lu) in enumerate(zip(props, log_unif)):
+    schedule = anneal_schedule(cfg.gamma_sel0, cfg.alpha_sel, steps)
+    for gamma, xp, lu in zip(schedule, props, log_unif):
         du = est[xp] - est[x]
-        if du >= 0.0 or lu < (gamma0 + alpha * math.log1p(k)) * du:
+        if du >= 0.0 or lu < gamma * du:
             x = xp
     return x
 

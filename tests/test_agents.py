@@ -219,6 +219,31 @@ def test_draw_world_matches_reference_implementation(rho):
     assert picked == {w for w in range(len(rho)) if rho[w] > 0.0}
 
 
+class _LargestUniform:
+    """Generator stub whose every uniform is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "rho, last",
+    [
+        (np.full(6, 1 / 6), 5),
+        (np.full(7, 1 / 7), 6),
+        (np.full(10, 1 / 10), 9),
+        (np.append(np.full(6, 1 / 6), 0.0), 5),
+        (np.array([0.25, 0.75, 0.0]), 1),
+        (np.array([0.5, 0.5, 0.0, 0.0]), 1),
+    ],
+)
+def test_draw_world_never_passes_the_last_world(rho, last):
+    # the running sum of rho can stop short of 1, below the largest uniform
+    world = WorldModel(num_worlds=len(rho), rho=rho, utility=lambda w, a: 0.0)
+    system = DecisionSystem(world, SystemConfig(num_priors=1), make_rng(0))
+    assert system.draw_world(_LargestUniform()) == last
+
+
 def test_empirical_mi_rejects_non_finite_decisions():
     records = [
         EpisodeRecord(w, 0, np.array([0.5]), np.array([(w + 0.5) / 6]), 1.0, 1.0, 1)

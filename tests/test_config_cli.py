@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -366,18 +368,35 @@ def test_rejected_value_exits_1_before_out_is_touched(tmp_path, line):
     assert log.read_text() == "kept\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow|invalid value:RuntimeWarning")
+# a step size this large drives the VAE weights, and so the decisions, to NaN
+DIVERGING_CONFIG = (
+    "agent_kinds = multi\ntotal_steps = 20\nselection_steps = 5\n"
+    "episodes = 300\nreplicates = 1\nstep_size = 1000\nworkers = 1\n"
+)
+
+
 def test_diverged_decisions_exit_2_without_traceback(tmp_path, capsys):
-    # a step size this large drives the VAE weights, and so the decisions, to NaN
     cfgfile = tmp_path / "diverge.cfg"
-    cfgfile.write_text(
-        "agent_kinds = multi\ntotal_steps = 20\nselection_steps = 5\n"
-        "episodes = 300\nreplicates = 1\nstep_size = 1000\nworkers = 1\n"
-    )
+    cfgfile.write_text(DIVERGING_CONFIG)
     assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: non-finite decisions")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_diverged_run_prints_one_stderr_line(tmp_path):
+    # numpy's overflow and invalid-value warnings must not precede the error
+    cfgfile = tmp_path / "diverge.cfg"
+    cfgfile.write_text(DIVERGING_CONFIG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    entry = "import sys; from brdm.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "run", "--config", str(cfgfile), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: non-finite decisions")
 
 
 def test_main_run_and_plot_end_to_end(tmp_path):

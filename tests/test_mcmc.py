@@ -10,6 +10,7 @@ from brdm.mcmc import (
     ChainResult,
     SelectionConfig,
     anneal_gamma,
+    anneal_schedule,
     draw_index,
     dump_trace,
     mh_accept_prob,
@@ -31,6 +32,13 @@ def test_anneal_gamma_values():
 def test_anneal_gamma_rejects_negative_index():
     with pytest.raises(ValueError):
         anneal_gamma(-1, 1.0, 1.0)
+
+
+def test_anneal_schedule_is_anneal_gamma_built_once():
+    schedule = anneal_schedule(0.5, 4.0, 30)
+    assert schedule == tuple(anneal_gamma(k, 0.5, 4.0) for k in range(30))
+    assert anneal_schedule(0.5, 4.0, 30) is schedule
+    assert anneal_schedule(0.5, 4.0, 0) == ()
 
 
 def test_mh_accept_prob():
@@ -104,11 +112,11 @@ def _reference_action_chain(world, w, seed_action, cfg, n, rng, record_trace=Tru
 
 
 def _plane_task():
-    """Two-dimensional bumps; the utility checks the array it is handed."""
+    """Two-dimensional bumps; the utility checks the action it is handed."""
     centers = [(0.2, 0.7), (0.8, 0.3), (0.5, 0.5)]
 
     def utility(w, a):
-        assert isinstance(a, np.ndarray) and a.shape == (2,)
+        assert len(a) == 2
         cx, cy = centers[w]
         return math.exp(-((a[0] - cx) ** 2 + (a[1] - cy) ** 2) / 0.045)
 
@@ -172,6 +180,25 @@ def test_action_chain_counts_utility_calls(gaussian_task):
     assert calls == 58
     assert result.evaluations == 58
     assert len(result.trace) == 57
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_action_chain_never_mutates_an_action_after_the_call(gaussian_task, dim):
+    # a utility may keep every action it is handed, without copying it
+    base = gaussian_task if dim == 1 else _plane_task()
+    kept = []
+
+    def keeping(w, a):
+        kept.append((a, list(a)))
+        return base.utility(w, a)
+
+    world = WorldModel(num_worlds=base.num_worlds, rho=base.rho, utility=keeping, action_dim=dim)
+    result = run_action_chain(world, 1, np.full(dim, 0.4), ChainConfig(), 200, make_rng(9))
+    assert len(kept) == 201
+    assert len({id(a) for a, _ in kept}) == len(kept)
+    assert kept[0][0] == kept[0][1] == [0.4] * dim
+    for (a, at_call), (prop, _, _) in zip(kept[1:], result.trace):
+        assert list(a) == at_call == prop.tolist()
 
 
 def test_action_chain_rejects_everything_returns_seed():
