@@ -1,17 +1,19 @@
 """Exact discrete solvers for the information-constrained decision problems.
 
 Both solvers iterate self-consistent fixed-point equations on a discretized
-action grid until the max-norm change across all updated arrays drops below
-``tol``:
+action grid, in the one driver ``_iterate``, until the max-norm change across
+all updated arrays drops below ``tol``. Each equation is stated once, in the
+helper named on its right; ``_gibbs`` is the one Boltzmann normalisation:
 
-single stage   p(a|w) = p(a) exp(beta U(w,a)) / Z(w)
-               p(a)   = sum_w rho(w) p(a|w)
-
-two stage      p(x|w)   = p(x) exp(beta1 dF(w,x)) / Z(w)
+single stage   p(a|w)   = p(a) exp(beta U(w,a)) / Z(w)           _gibbs
+               p(a)     = sum_w rho(w) p(a|w)
+two stage      p(x|w)   = p(x) exp(beta1 dF(w,x)) / Z(w)         _stage1_policy
                p(x)     = sum_w rho(w) p(x|w)
-               p(a|w,x) = p(a|x) exp(beta2 U(w,a)) / Z(w,x)
-               p(a|x)   = sum_w p(w|x) p(a|w,x)
+               p(a|w,x) = p(a|x) exp(beta2 U(w,a)) / Z(w,x)      _stage2_policy
+               p(a|x)   = sum_w p(w|x) p(a|w,x)                   _stage2_marginal
+               p(w|x)   = rho(w) p(x|w) / p(x)                    _world_posterior
                dF(w,x)  = E_{p(a|w,x)}[U(w,a)] - KL(p(a|w,x) || p(a|x)) / beta2
+                                                                  _delta_free_energy
 
 Internal free energies and KL terms are in nats; mutual information is
 reported in bits. All exponentials are accumulated in the log domain with
@@ -34,6 +36,9 @@ from .core import WorldModel, make_rng
 # KL in dF infinite. The floor is invisible at the 1e-10 tolerance scale and
 # also lets warm starts regain mass on high-utility grid points.
 _MARGINAL_FLOOR = 1e-280
+
+# Relative amplitude of the symmetric noise on the two-stage start.
+_INIT_NOISE = 1e-3
 
 
 def _floor_norm(p: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -78,11 +83,7 @@ class TwoStageSolution:
 
     def world_posterior(self, rho: np.ndarray) -> np.ndarray:
         """Bayesian responsibilities p(w|x) induced by the first stage."""
-        rho = np.asarray(rho, dtype=float)
-        post = rho[:, None] * self.px_given_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = np.where(self.px[None, :] > 0.0, post / self.px[None, :], 0.0)
-        return post
+        return _world_posterior(np.asarray(rho, dtype=float), self.px_given_w, self.px)
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,31 @@ def free_energy(world: WorldModel, policy: DiscretePolicy, beta: float) -> float
     return eu - kl / beta
 
 
+def _gibbs(logits: np.ndarray) -> np.ndarray:
+    """exp(logits) normalised along the last axis; shifts ``logits`` in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _iterate(update, state: tuple, tol: float, max_iter: int):
+    """Apply ``update`` to the array tuple ``state`` until its max-norm change is below tol.
+
+    Returns the final state, then ``converged``, the number of updates and the
+    last change, in the order of the solution types' trailing fields.
+    """
+    residual = np.inf
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        new = update(state)
+        residual = max([float(np.abs(n - o).max()) for n, o in zip(new, state)])
+        state = new
+        if residual < tol:
+            return state, True, iteration, residual
+    return state, False, iteration, residual
+
+
 def solve_single_stage(
     world: WorldModel,
     beta: float,
@@ -182,33 +208,36 @@ def solve_single_stage(
     cond = np.tile(marginal, (world.num_worlds, 1))
 
     bu = beta * utility_table(world, grid)
-    converged = False
-    residual = np.inf
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        logits = np.log(marginal)[None, :] + bu
-        logits -= logits.max(axis=1, keepdims=True)
-        new_cond = np.exp(logits)
-        new_cond /= new_cond.sum(axis=1, keepdims=True)
-        new_marginal = _floor_norm(rho @ new_cond)
 
-        residual = max(
-            float(np.abs(new_cond - cond).max()),
-            float(np.abs(new_marginal - marginal).max()),
-        )
-        cond, marginal = new_cond, new_marginal
-        if residual < tol:
-            converged = True
-            break
+    def sweep(state):
+        _, marginal = state
+        cond = _gibbs(np.log(marginal)[None, :] + bu)
+        return cond, _floor_norm(rho @ cond)
 
-    return DiscretePolicy(
-        grid=grid,
-        cond=cond,
-        marginal=marginal,
-        converged=converged,
-        iterations=iteration,
-        residual=residual,
-    )
+    (cond, marginal), *status = _iterate(sweep, (cond, marginal), tol, max_iter)
+    return DiscretePolicy(grid, cond, marginal, *status)
+
+
+def _stage1_policy(px: np.ndarray, delta_f: np.ndarray, beta1: float) -> np.ndarray:
+    """p(x|w) = p(x) exp(beta1 dF(w,x)) / Z(w)."""
+    return _gibbs(np.log(px)[None, :] + beta1 * delta_f)
+
+
+def _stage2_policy(pa_given_x: np.ndarray, table: np.ndarray, beta2: float) -> np.ndarray:
+    """p(a|w,x) = p(a|x) exp(beta2 U(w,a)) / Z(w,x)."""
+    return _gibbs(np.log(pa_given_x)[None, :, :] + beta2 * table[:, None, :])
+
+
+def _world_posterior(rho: np.ndarray, px_given_w: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """p(w|x) = rho(w) p(x|w) / p(x)."""
+    return rho[:, None] * px_given_w / px[None, :]
+
+
+def _stage2_marginal(
+    rho: np.ndarray, px_given_w: np.ndarray, px: np.ndarray, pa_given_wx: np.ndarray
+) -> np.ndarray:
+    """p(a|x) = sum_w p(w|x) p(a|w,x), unfloored."""
+    return np.einsum("kx,kxg->xg", _world_posterior(rho, px_given_w, px), pa_given_wx)
 
 
 def _delta_free_energy(
@@ -222,13 +251,6 @@ def _delta_free_energy(
     return eu - kl / beta2
 
 
-def _max_change(new: np.ndarray, old: np.ndarray) -> float:
-    """Max-norm change, treating entries that stay at -inf as unchanged."""
-    diff = np.abs(new - old)
-    diff[np.isneginf(new) & np.isneginf(old)] = 0.0
-    return float(diff.max())
-
-
 def solve_two_stage(
     world: WorldModel,
     beta1: float,
@@ -238,11 +260,10 @@ def solve_two_stage(
     tol: float = 1e-10,
     max_iter: int = 10_000,
     rng: np.random.Generator | None = None,
-    init_noise: float = 1e-3,
 ) -> TwoStageSolution:
     """Iterate the five two-stage equations in order from a near-uniform start.
 
-    The p(a|w,x) rows start uniform with symmetric ``init_noise`` relative
+    The p(a|w,x) rows start uniform with symmetric ``_INIT_NOISE`` relative
     perturbations: a perfectly symmetric start is a repelling fixed point and
     would never specialize. The perturbation RNG defaults to a fixed seed so
     repeated solves are bit-identical.
@@ -264,94 +285,44 @@ def solve_two_stage(
     px_given_w = np.full((nw, nx), 1.0 / nx)
     px = np.full(nx, 1.0 / nx)
     pa_given_wx = np.full((nw, nx, ng), 1.0 / ng)
-    pa_given_wx *= 1.0 + init_noise * rng.uniform(-1.0, 1.0, size=pa_given_wx.shape)
+    pa_given_wx *= 1.0 + _INIT_NOISE * rng.uniform(-1.0, 1.0, size=pa_given_wx.shape)
     pa_given_wx /= pa_given_wx.sum(axis=2, keepdims=True)
-    pwx = rho[:, None] * px_given_w / px[None, :]
-    pa_given_x = np.einsum("kx,kxg->xg", pwx, pa_given_wx)
+    pa_given_x = _stage2_marginal(rho, px_given_w, px, pa_given_wx)
     delta_f = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
 
-    converged = False
-    residual = np.inf
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        logits = np.log(px)[None, :] + beta1 * delta_f
-        logits -= logits.max(axis=1, keepdims=True)
-        new_px_given_w = np.exp(logits)
-        new_px_given_w /= new_px_given_w.sum(axis=1, keepdims=True)
+    def sweep(state):
+        _, px, _, pa_given_x, delta_f = state
+        px_given_w = _stage1_policy(px, delta_f, beta1)
+        px = _floor_norm(rho @ px_given_w)
+        pa_given_wx = _stage2_policy(pa_given_x, table, beta2)
+        pa_given_x = _floor_norm(_stage2_marginal(rho, px_given_w, px, pa_given_wx))
+        delta_f = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
+        return px_given_w, px, pa_given_wx, pa_given_x, delta_f
 
-        new_px = _floor_norm(rho @ new_px_given_w)
-
-        logits = np.log(pa_given_x)[None, :, :] + beta2 * table[:, None, :]
-        logits -= logits.max(axis=2, keepdims=True)
-        new_pa_given_wx = np.exp(logits)
-        new_pa_given_wx /= new_pa_given_wx.sum(axis=2, keepdims=True)
-
-        pwx = rho[:, None] * new_px_given_w / new_px[None, :]
-        new_pa_given_x = _floor_norm(np.einsum("kx,kxg->xg", pwx, new_pa_given_wx))
-
-        new_delta_f = _delta_free_energy(table, new_pa_given_wx, new_pa_given_x, beta2)
-
-        residual = max(
-            _max_change(new_px_given_w, px_given_w),
-            _max_change(new_px, px),
-            _max_change(new_pa_given_wx, pa_given_wx),
-            _max_change(new_pa_given_x, pa_given_x),
-            _max_change(new_delta_f, delta_f),
-        )
-        px_given_w, px = new_px_given_w, new_px
-        pa_given_wx, pa_given_x = new_pa_given_wx, new_pa_given_x
-        delta_f = new_delta_f
-        if residual < tol:
-            converged = True
-            break
-
-    return TwoStageSolution(
-        num_priors=num_priors,
-        px_given_w=px_given_w,
-        px=px,
-        pa_given_wx=pa_given_wx,
-        pa_given_x=pa_given_x,
-        delta_f=delta_f,
-        beta1=beta1,
-        beta2=beta2,
-        grid=grid,
-        converged=converged,
-        iterations=iteration,
-        residual=residual,
+    state, *status = _iterate(
+        sweep, (px_given_w, px, pa_given_wx, pa_given_x, delta_f), tol, max_iter
     )
+    return TwoStageSolution(num_priors, *state, beta1, beta2, grid, *status)
 
 
 def two_stage_residuals(world: WorldModel, sol: TwoStageSolution) -> dict[str, float]:
     """Max-norm defect of each fixed-point equation at the returned solution."""
     table = utility_table(world, sol.grid)
     rho = world.rho
-
-    with np.errstate(divide="ignore"):
-        logits = np.log(sol.px)[None, :] + sol.beta1 * sol.delta_f
-    logits -= logits.max(axis=1, keepdims=True)
-    rhs = np.exp(logits)
-    rhs /= rhs.sum(axis=1, keepdims=True)
-    res = {"px_given_w": _max_change(rhs, sol.px_given_w)}
-
-    res["px"] = _max_change(rho @ sol.px_given_w, sol.px)
-
-    with np.errstate(divide="ignore"):
-        logits = np.log(sol.pa_given_x)[None, :, :] + sol.beta2 * table[:, None, :]
-    logits -= logits.max(axis=2, keepdims=True)
-    rhs = np.exp(logits)
-    rhs /= rhs.sum(axis=2, keepdims=True)
-    res["pa_given_wx"] = _max_change(rhs, sol.pa_given_wx)
-
-    pwx = sol.world_posterior(rho)
-    res["pa_given_x"] = _max_change(
-        np.einsum("kx,kxg->xg", pwx, sol.pa_given_wx), sol.pa_given_x
-    )
-
-    res["delta_f"] = _max_change(
-        _delta_free_energy(table, sol.pa_given_wx, sol.pa_given_x, sol.beta2),
-        sol.delta_f,
-    )
-    return res
+    sides = {
+        "px_given_w": (_stage1_policy(sol.px, sol.delta_f, sol.beta1), sol.px_given_w),
+        "px": (rho @ sol.px_given_w, sol.px),
+        "pa_given_wx": (_stage2_policy(sol.pa_given_x, table, sol.beta2), sol.pa_given_wx),
+        "pa_given_x": (
+            _stage2_marginal(rho, sol.px_given_w, sol.px, sol.pa_given_wx),
+            sol.pa_given_x,
+        ),
+        "delta_f": (
+            _delta_free_energy(table, sol.pa_given_wx, sol.pa_given_x, sol.beta2),
+            sol.delta_f,
+        ),
+    }
+    return {name: float(np.abs(rhs - lhs).max()) for name, (rhs, lhs) in sides.items()}
 
 
 def rate_distortion_curve(

@@ -79,7 +79,7 @@ def build_cells(cfg: ExperimentConfig) -> list[CellSpec]:
             if cfg.selection_steps:
                 sels = sorted({s for s in cfg.selection_steps if s <= total})
             else:
-                sels = [int(round(cfg.selection_fraction * total))]
+                sels = [BudgetSplit.fraction(total, cfg.selection_fraction).selection_steps]
             for sel in sels:
                 combos.append(("multi", total, total - sel))
     combos.sort()

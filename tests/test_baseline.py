@@ -194,12 +194,11 @@ def test_frontier_rejects_unsorted_betas(gaussian_task):
 
 
 def test_two_stage_single_prior_reduces_to_single_stage(gaussian_task):
-    two = solve_two_stage(
-        gaussian_task, beta1=1.0, beta2=1.0, num_priors=1, tol=1e-14, max_iter=200_000
-    )
-    one = solve_single_stage(gaussian_task, 1.0, tol=1e-14, max_iter=200_000)
+    # Criterion 3 compares the stage-2 policy with the single-stage solve at
+    # tol 1e-14; this cheap solve checks only that stage 1 keeps all its mass
+    # on the one prior.
+    two = solve_two_stage(gaussian_task, beta1=1.0, beta2=1.0, num_priors=1, max_iter=100)
     assert np.allclose(two.px_given_w, 1.0)
-    assert np.abs(two.pa_given_wx[:, 0, :] - one.cond).max() < 1e-8
 
 
 def test_two_stage_beta2_zero_keeps_prior(gaussian_task):
@@ -252,3 +251,209 @@ def test_utility_table_shape(gaussian_task):
     table = utility_table(gaussian_task, grid)
     assert table.shape == (6, 10)
     assert table.max() <= 1.0 and table.min() >= 0.0
+
+
+# The solvers as they were before each fixed-point equation moved into one
+# helper, kept verbatim (with the private helpers they used) as references
+# that the shared-helper solvers must reproduce bit for bit.
+
+_REF_FLOOR = 1e-280
+
+
+def _reference_floor_norm(p, axis=-1):
+    p = np.maximum(p, _REF_FLOOR)
+    return p / p.sum(axis=axis, keepdims=True)
+
+
+def _reference_kl_rows_nats(p, q):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p / q), 0.0)
+    return terms.sum(axis=-1)
+
+
+def _reference_delta_free_energy(table, pa_given_wx, pa_given_x, beta2):
+    eu = np.einsum("kxg,kg->kx", pa_given_wx, table)
+    if beta2 == 0.0:
+        return eu
+    kl = _reference_kl_rows_nats(pa_given_wx, pa_given_x[None, :, :])
+    return eu - kl / beta2
+
+
+def _reference_max_change(new, old):
+    diff = np.abs(new - old)
+    diff[np.isneginf(new) & np.isneginf(old)] = 0.0
+    return float(diff.max())
+
+
+def _reference_solve_single_stage(world, beta, grid_size=100, tol=1e-10, max_iter=10_000,
+                                  init_marginal=None):
+    grid = action_grid(grid_size)
+    rho = world.rho
+
+    if init_marginal is None:
+        marginal = np.full(grid_size, 1.0 / grid_size)
+    else:
+        marginal = _reference_floor_norm(np.asarray(init_marginal, dtype=float))
+    cond = np.tile(marginal, (world.num_worlds, 1))
+
+    bu = beta * utility_table(world, grid)
+    converged = False
+    residual = np.inf
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        logits = np.log(marginal)[None, :] + bu
+        logits -= logits.max(axis=1, keepdims=True)
+        new_cond = np.exp(logits)
+        new_cond /= new_cond.sum(axis=1, keepdims=True)
+        new_marginal = _reference_floor_norm(rho @ new_cond)
+
+        residual = max(
+            float(np.abs(new_cond - cond).max()),
+            float(np.abs(new_marginal - marginal).max()),
+        )
+        cond, marginal = new_cond, new_marginal
+        if residual < tol:
+            converged = True
+            break
+    return cond, marginal, converged, iteration, residual
+
+
+def _reference_solve_two_stage(world, beta1, beta2, num_priors, grid_size=100, tol=1e-10,
+                               max_iter=10_000, rng=None, init_noise=1e-3):
+    if rng is None:
+        rng = make_rng(0)
+    grid = action_grid(grid_size)
+    table = utility_table(world, grid)
+    rho = world.rho
+    nw, nx, ng = world.num_worlds, num_priors, grid_size
+
+    px_given_w = np.full((nw, nx), 1.0 / nx)
+    px = np.full(nx, 1.0 / nx)
+    pa_given_wx = np.full((nw, nx, ng), 1.0 / ng)
+    pa_given_wx *= 1.0 + init_noise * rng.uniform(-1.0, 1.0, size=pa_given_wx.shape)
+    pa_given_wx /= pa_given_wx.sum(axis=2, keepdims=True)
+    pwx = rho[:, None] * px_given_w / px[None, :]
+    pa_given_x = np.einsum("kx,kxg->xg", pwx, pa_given_wx)
+    delta_f = _reference_delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
+
+    converged = False
+    residual = np.inf
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        logits = np.log(px)[None, :] + beta1 * delta_f
+        logits -= logits.max(axis=1, keepdims=True)
+        new_px_given_w = np.exp(logits)
+        new_px_given_w /= new_px_given_w.sum(axis=1, keepdims=True)
+
+        new_px = _reference_floor_norm(rho @ new_px_given_w)
+
+        logits = np.log(pa_given_x)[None, :, :] + beta2 * table[:, None, :]
+        logits -= logits.max(axis=2, keepdims=True)
+        new_pa_given_wx = np.exp(logits)
+        new_pa_given_wx /= new_pa_given_wx.sum(axis=2, keepdims=True)
+
+        pwx = rho[:, None] * new_px_given_w / new_px[None, :]
+        new_pa_given_x = _reference_floor_norm(np.einsum("kx,kxg->xg", pwx, new_pa_given_wx))
+
+        new_delta_f = _reference_delta_free_energy(table, new_pa_given_wx, new_pa_given_x, beta2)
+
+        residual = max(
+            _reference_max_change(new_px_given_w, px_given_w),
+            _reference_max_change(new_px, px),
+            _reference_max_change(new_pa_given_wx, pa_given_wx),
+            _reference_max_change(new_pa_given_x, pa_given_x),
+            _reference_max_change(new_delta_f, delta_f),
+        )
+        px_given_w, px = new_px_given_w, new_px
+        pa_given_wx, pa_given_x = new_pa_given_wx, new_pa_given_x
+        delta_f = new_delta_f
+        if residual < tol:
+            converged = True
+            break
+    return px_given_w, px, pa_given_wx, pa_given_x, delta_f, converged, iteration, residual
+
+
+def _reference_two_stage_residuals(world, sol):
+    table = utility_table(world, sol.grid)
+    rho = world.rho
+
+    with np.errstate(divide="ignore"):
+        logits = np.log(sol.px)[None, :] + sol.beta1 * sol.delta_f
+    logits -= logits.max(axis=1, keepdims=True)
+    rhs = np.exp(logits)
+    rhs /= rhs.sum(axis=1, keepdims=True)
+    res = {"px_given_w": _reference_max_change(rhs, sol.px_given_w)}
+
+    res["px"] = _reference_max_change(rho @ sol.px_given_w, sol.px)
+
+    with np.errstate(divide="ignore"):
+        logits = np.log(sol.pa_given_x)[None, :, :] + sol.beta2 * table[:, None, :]
+    logits -= logits.max(axis=2, keepdims=True)
+    rhs = np.exp(logits)
+    rhs /= rhs.sum(axis=2, keepdims=True)
+    res["pa_given_wx"] = _reference_max_change(rhs, sol.pa_given_wx)
+
+    post = rho[:, None] * sol.px_given_w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pwx = np.where(sol.px[None, :] > 0.0, post / sol.px[None, :], 0.0)
+    res["pa_given_x"] = _reference_max_change(
+        np.einsum("kx,kxg->xg", pwx, sol.pa_given_wx), sol.pa_given_x
+    )
+
+    res["delta_f"] = _reference_max_change(
+        _reference_delta_free_energy(table, sol.pa_given_wx, sol.pa_given_x, sol.beta2),
+        sol.delta_f,
+    )
+    return res
+
+
+TWO_STAGE_SETTINGS = {
+    "specialized": dict(beta1=100.0, beta2=50.0, num_priors=3, tol=1e-12, seed=21),
+    "beta2_zero": dict(beta1=5.0, beta2=0.0, num_priors=3),
+    "beta1_zero": dict(beta1=0.0, beta2=10.0, num_priors=3),
+    "one_prior": dict(beta1=1.0, beta2=1.0, num_priors=1),
+    "more_priors_than_worlds": dict(beta1=1.0, beta2=1.0, num_priors=3, table=TABLE_2X3),
+    "capped": dict(beta1=10.0, beta2=10.0, num_priors=3, max_iter=40, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(TWO_STAGE_SETTINGS))
+def test_two_stage_matches_reference_bit_for_bit(name, gaussian_task):
+    kw = dict(TWO_STAGE_SETTINGS[name])
+    table = kw.pop("table", None)
+    world = gaussian_task if table is None else make_tabular_world(table)
+    seed = kw.pop("seed", None)
+    kw.setdefault("max_iter", 300)
+    kw["grid_size"] = 100 if table is None else len(table[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        sol = solve_two_stage(world, rng=None if seed is None else make_rng(seed), **kw)
+    ref = _reference_solve_two_stage(world, rng=None if seed is None else make_rng(seed), **kw)
+    got = (sol.px_given_w, sol.px, sol.pa_given_wx, sol.pa_given_x, sol.delta_f)
+    for new, old in zip(got, ref[:5]):
+        assert np.array_equal(new, old)
+    assert (sol.converged, sol.iterations, sol.residual) == ref[5:]
+    assert two_stage_residuals(world, sol) == _reference_two_stage_residuals(world, sol)
+
+
+def test_single_stage_and_frontier_match_reference_bit_for_bit(gaussian_task):
+    start = np.linspace(0.0, 1.0, 100)
+    for beta, init in ((0.0, None), (1.0, None), (20.0, None), (1e4, None), (3.0, start)):
+        policy = solve_single_stage(gaussian_task, beta, max_iter=300, init_marginal=init)
+        ref = _reference_solve_single_stage(gaussian_task, beta, max_iter=300, init_marginal=init)
+        assert np.array_equal(policy.cond, ref[0])
+        assert np.array_equal(policy.marginal, ref[1])
+        assert (policy.converged, policy.iterations, policy.residual) == ref[2:]
+
+    betas = [0.5, 2.0, 10.0, 100.0]
+    points = rate_distortion_curve(gaussian_task, betas, max_iter=300)
+    table = utility_table(gaussian_task, action_grid(100))
+    warm = None
+    for point, beta in zip(points, betas):
+        cond, warm, converged, _, _ = _reference_solve_single_stage(
+            gaussian_task, beta, max_iter=300, init_marginal=warm
+        )
+        rho = gaussian_task.rho
+        assert point.mutual_info_bits == mutual_information(rho, cond)
+        assert point.expected_utility == float(rho @ (cond * table).sum(axis=1))
+        assert point.converged == converged

@@ -1,10 +1,12 @@
-"""Episode logs and the summary are pinned byte for byte.
+"""Episode logs, the summary and the frontier are pinned byte for byte.
 
 A small sweep runs through the CLI: single-prior and multi-prior cells,
 multi-prior cells with and without a selection stage, two replicates each.
 Every CSV it writes is compared by SHA-256 with digests recorded before the
-episode loop's bookkeeping moved onto Python scalars. A change that alters
-these bytes on purpose records new digests and says why.
+episode loop's bookkeeping moved onto Python scalars. ``brdm baseline``'s
+frontier.csv is pinned the same way, with digests recorded before the exact
+solvers' fixed-point equations moved into shared helpers. A change that
+alters these bytes on purpose records new digests and says why.
 """
 
 import hashlib
@@ -48,3 +50,22 @@ def test_sweep_logs_match_recorded_digests(tmp_path):
         for p in sorted(out.glob("*.csv"))
     }
     assert digests == DIGESTS
+
+
+# frontier.csv of `brdm baseline` at the default config, and with max_iter = 50,
+# where no point converges and the optional `converged` column appears.
+FRONTIER_DIGESTS = {
+    "": "a6236ade2585560063f41c6084c6cdb1e3b2caf6c01299b7915daa776d95f058",
+    "max_iter = 50\n": "854a9a79b4d049f62d93871efa368af366cb27d7826a5bf0b57a9b354edf31cb",
+}
+
+
+def test_frontier_csv_matches_recorded_digests(tmp_path):
+    for index, (config, digest) in enumerate(FRONTIER_DIGESTS.items()):
+        cfgfile = tmp_path / f"baseline{index}.cfg"
+        cfgfile.write_text(config)
+        out = tmp_path / f"baseline{index}"
+        assert main(["baseline", "--config", str(cfgfile), "--out", str(out)]) == 0
+        frontier = (out / "frontier.csv").read_bytes()
+        assert hashlib.sha256(frontier).hexdigest() == digest, config
+    assert b",converged" in frontier
