@@ -48,11 +48,6 @@ class BudgetSplit:
             raise ValueError("selection_steps + action_steps must equal total_steps")
 
     @staticmethod
-    def single(total_steps: int) -> "BudgetSplit":
-        """All steps on the action chain; single-prior agents select nothing."""
-        return BudgetSplit(total_steps, 0, total_steps)
-
-    @staticmethod
     def fraction(total_steps: int, selection_fraction: float = 0.25) -> "BudgetSplit":
         """Round a fraction of the budget onto the selection chain."""
         sel = int(round(selection_fraction * total_steps))
@@ -207,9 +202,7 @@ class DecisionSystem:
             x = 0
 
         seed = sample_action(self.vaes[x], rng)
-        result = run_action_chain(
-            world, w, seed, self.cfg.chain, budget.action_steps, rng, record_trace=False
-        )
+        result = run_action_chain(world, w, seed, self.cfg.chain, budget.action_steps, rng)
         evals += result.evaluations
         if evals != self._expected_evals:
             raise RuntimeError("utility evaluation accounting drifted")
@@ -226,14 +219,12 @@ class DecisionSystem:
             utility_evaluations=evals,
         )
 
-    def train_prior(self, x: int, rng: np.random.Generator | None = None) -> None:
+    def train_prior(self, x: int) -> None:
         """One gradient step for prior ``x`` on a random batch from its buffer."""
-        rng = self.rng if rng is None else rng
         buf = self.buffers[x]
         if len(buf) == 0:
             return
-        batch = buf.sample(self.cfg.batch_size, rng)
-        train_step(self.vaes[x], batch, rng)
+        train_step(self.vaes[x], buf.sample(self.cfg.batch_size, self.rng), self.rng)
 
 
 def train_system(

@@ -47,16 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument(
-        "--out", metavar="DIR", default="results", help="output directory (default: results)"
-    )
-    p.add_argument("--seed", type=int, metavar="INT", help="override the config seed")
-    p.add_argument("--workers", type=int, metavar="INT", help="worker pool size (0 = auto)")
-    p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="brdm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,11 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("plot", "emit the plot script and data bundle, and render the figures"),
     ):
         p = sub.add_parser(name, help=summary)
-        _add_common_flags(p)
+        p.add_argument(
+            "--out", metavar="DIR", default="results", help="output directory (default: results)"
+        )
+        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         if name == "plot":
             p.add_argument("--summary", metavar="PATH", help="summary CSV (default OUT/summary.csv)")
             p.add_argument("--frontier", metavar="PATH", help="frontier CSV (default OUT/frontier.csv)")
             p.add_argument("--no-render", action="store_true", help="skip PNG rendering")
+        else:
+            p.add_argument("--config", metavar="PATH", help="key = value config file")
+            p.add_argument("--seed", type=int, metavar="INT", help="override the config seed")
+            p.add_argument("--workers", type=int, metavar="INT", help="worker pool size (0 = auto)")
     return parser
 
 
@@ -106,7 +103,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str | Path, force: bool = False) -> 
     out = _prepare_out_dir(out_dir, force)
     for stale in out.glob("episodes_*.csv"):
         stale.unlink()
-    rows = run_sweep(cfg, out_dir=out, workers=cfg.workers or None)
+    rows = run_sweep(cfg, out_dir=out)
     with open(out / SUMMARY_CSV, "w", newline="\n") as fh:
         write_summary_csv(rows, fh)
     (out / "config.txt").write_text(serialize_config(cfg))

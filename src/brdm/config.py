@@ -126,8 +126,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("summary_window must lie in (0, 1]")
     if cfg.mi_bins < 1:
         raise ConfigError("mi_bins must be >= 1")
-    if cfg.workers < 0:
-        raise ConfigError("workers must be >= 0")
+    if cfg.seed < 0 or cfg.workers < 0:
+        raise ConfigError("seed and workers must be >= 0")
     try:
         task_spec(cfg)
         action_grid(cfg.grid_size)
@@ -144,7 +144,11 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            content = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        for line_no, line in enumerate(content.splitlines(), start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

@@ -9,7 +9,9 @@ prior-selection chain runs the same acceptance rule over a discrete index
 set with uniform global proposals and cached utility estimates.
 
 A stopped chain's current state is the decision; resources are counted as
-utility evaluations (one for the seed plus one per proposal).
+utility evaluations (one for the seed plus one per proposal). A chain
+returns its decision and counts only, not its path; a caller that wants the
+proposals can watch them through the utility it passes in.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +45,13 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Trace and decision of one chain run.
+    """Decision and counts of one chain run.
 
-    ``trace`` holds one (proposal, proposal utility, accepted) triple per
-    step when recorded; ``decision`` is the last accepted state and
-    ``evaluations`` counts utility calls (seed + one per step).
+    ``decision`` is the last accepted state and ``evaluations`` counts
+    utility calls (seed + one per step).
     """
 
     decision: np.ndarray
-    trace: tuple[tuple[np.ndarray, float, bool], ...]
     evaluations: int
     acceptance_rate: float
     decision_utility: float
@@ -107,15 +107,14 @@ def run_action_chain(
     cfg: ChainConfig,
     steps: int,
     rng: np.random.Generator,
-    record_trace: bool = True,
 ) -> ChainResult:
     """Anneal an MH chain over U(w, .) for ``steps`` steps from ``seed_action``.
 
     The noise and uniforms are drawn as two blocks up front; the steps then
     run on Python floats. Each proposal is a fresh list of floats, which is
     what ``world.utility`` receives and what the chain keeps when it
-    accepts. With ``steps == 0`` the seed is the decision, and the zero-size
-    draws leave ``rng`` unchanged.
+    accepts; the chain keeps no record of its path. With ``steps == 0`` the
+    seed is the decision, and the zero-size draws leave ``rng`` unchanged.
     """
     state = np.asarray(seed_action, dtype=float).tolist()
     u = world.utility(w, state)
@@ -126,22 +125,17 @@ def run_action_chain(
     schedule = anneal_schedule(cfg.gamma0, cfg.alpha, steps)
     utility = world.utility
 
-    trace: list[tuple[np.ndarray, float, bool]] = []
     accepted = 0
     for gamma, step, lu in zip(schedule, noise, log_unif):
         prop = [*map(reflect01, state, step)]
         pu = utility(w, prop)
         du = pu - u
-        ok = du >= 0.0 or lu < gamma * du
-        if ok:
+        if du >= 0.0 or lu < gamma * du:
             state, u = prop, pu
             accepted += 1
-        if record_trace:
-            trace.append((np.array(prop), pu, ok))
 
     return ChainResult(
         decision=np.array(state),
-        trace=tuple(trace),
         evaluations=steps + 1,
         acceptance_rate=accepted / steps if steps else 0.0,
         decision_utility=u,
@@ -195,13 +189,3 @@ def run_selection_chain(
         if du >= 0.0 or lu < gamma * du:
             x = xp
     return x
-
-
-def dump_trace(result: ChainResult, cfg: ChainConfig, out: IO[str]) -> None:
-    """Tab-separated diagnostics: step, action components, utility, gamma, accepted."""
-    for k, (action, utility, ok) in enumerate(result.trace):
-        gamma = anneal_gamma(k, cfg.gamma0, cfg.alpha)
-        coords = "\t".join(format(float(c), ".12g") for c in np.atleast_1d(action))
-        out.write(
-            f"{k}\t{coords}\t{format(utility, '.12g')}\t{format(gamma, '.12g')}\t{int(ok)}\n"
-        )

@@ -12,8 +12,8 @@ layer. Training ascends the single-noise-sample bound
 with plain fixed-step gradient ascent. The constant Gaussian log-normalizer
 is dropped from the reconstruction term. Gradients are exact for this
 objective (reparameterization path included), which keeps them checkable
-against finite differences. The report a training step returns is computed
-only when it is read.
+against finite differences. The terms of an :class:`ElboReport` are
+computed only when they are read.
 
 A trained prior generates actions by decoding latents drawn from N(0, I).
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -96,7 +95,7 @@ class VaePrior:
     """Encoder/decoder weights acting as a sampleable prior over actions.
 
     ``params`` holds named C-contiguous views into ``flat``, and ``grads``
-    the same views into ``grad``, which :func:`elbo_gradients` fills. With a
+    the same views into ``grad``, which :func:`_backprop` fills. With a
     ``flat`` of shape (P, K) every view gains a leading axis of length P:
     the object is then a stack of P priors, used for decoding only.
     """
@@ -117,13 +116,35 @@ class VaePrior:
         self.grads = _views(self.arch, self.grad)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ElboReport:
-    """Batch-mean reconstruction term, KL term, and their difference."""
+    """Batch-mean reconstruction term, KL term, and their difference.
 
-    reconstruction: float
-    kl: float
-    elbo: float
+    Holds the residual ``batch - decode(z)``, the posterior means and
+    variances, and the decoder variance, and computes each term when it is
+    first read. No later training step overwrites these arrays, so a report
+    read late still describes its step.
+    """
+
+    resid: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray
+    sigma2: float
+
+    @functools.cached_property
+    def reconstruction(self) -> float:
+        n = self.resid.shape[0]
+        return float((-(self.resid**2).sum(axis=1) / (2.0 * self.sigma2)).sum()) / n
+
+    @functools.cached_property
+    def kl(self) -> float:
+        mu, var = self.mu, self.var
+        kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
+        return max(float(kl_terms.sum()) / self.resid.shape[0], 0.0)
+
+    @property
+    def elbo(self) -> float:
+        return self.reconstruction - self.kl
 
 
 def init_vae(
@@ -222,15 +243,6 @@ def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
     return max(kl, 0.0)
 
 
-def _report(resid: np.ndarray, mu: np.ndarray, var: np.ndarray, sigma2: float) -> ElboReport:
-    """Batch means of the bound's terms; ``resid`` is the batch minus its decoding."""
-    n = resid.shape[0]
-    recon = float((-(resid**2).sum(axis=1) / (2.0 * sigma2)).sum()) / n
-    kl_terms = 0.5 * (mu * mu + var - np.log(var) - 1.0).sum(axis=1)
-    kl = max(float(kl_terms.sum()) / n, 0.0)
-    return ElboReport(reconstruction=recon, kl=kl, elbo=recon - kl)
-
-
 def elbo_given_noise(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
 ) -> ElboReport:
@@ -239,7 +251,7 @@ def elbo_given_noise(
     _, _, mu, _, var = _encode_batch(prior, batch)
     z = mu + np.sqrt(var) * xi
     _, _, out = _decode_batch(prior, z)
-    return _report(batch - out, mu, var, prior.arch.decoder_variance)
+    return ElboReport(batch - out, mu, var, prior.arch.decoder_variance)
 
 
 def elbo(prior: VaePrior, batch: np.ndarray, rng: np.random.Generator) -> ElboReport:
@@ -258,7 +270,8 @@ def _backprop(
     reparameterized z into the encoder, and adds the closed-form KL
     gradients d/dmu = mu, d/dvar = (1 - 1/var) / 2 on the encoder heads.
     Returns the residual ``batch - decode(z)`` and the posterior means and
-    variances, fresh arrays that :func:`_report` turns into the bound's terms.
+    variances, fresh arrays that an :class:`ElboReport` turns into the
+    bound's terms.
     """
     p, g = prior.params, prior.grads
     act = prior.arch.hidden_activation
@@ -304,44 +317,17 @@ def elbo_gradients(
     The gradients are written into ``prior.grad`` and returned as its named
     views ``prior.grads``, which the next call overwrites.
     """
-    resid, mu, var = _backprop(prior, np.asarray(batch, dtype=float), xi)
-    return _report(resid, mu, var, prior.arch.decoder_variance), prior.grads
-
-
-class DeferredReport:
-    """The :class:`ElboReport` of one training step, computed when first read.
-
-    It keeps the step's residual, posterior means and variances, which no
-    later step overwrites, so a report read late still describes its step.
-    """
-
-    def __init__(self, resid: np.ndarray, mu: np.ndarray, var: np.ndarray, sigma2: float):
-        self._terms = (resid, mu, var, sigma2)
-
-    @functools.cached_property
-    def report(self) -> ElboReport:
-        return _report(*self._terms)
-
-    @property
-    def reconstruction(self) -> float:
-        return self.report.reconstruction
-
-    @property
-    def kl(self) -> float:
-        return self.report.kl
-
-    @property
-    def elbo(self) -> float:
-        return self.report.elbo
+    terms = _backprop(prior, np.asarray(batch, dtype=float), xi)
+    return ElboReport(*terms, prior.arch.decoder_variance), prior.grads
 
 
 def train_step(
     prior: VaePrior, batch: np.ndarray, rng: np.random.Generator
-) -> DeferredReport:
+) -> ElboReport:
     """One fixed-step gradient ascent update on a fresh single-noise bound."""
     batch = np.asarray(batch, dtype=float)
     xi = rng.standard_normal((batch.shape[0], prior.arch.latent_dim))
-    report = DeferredReport(*_backprop(prior, batch, xi), prior.arch.decoder_variance)
+    report = ElboReport(*_backprop(prior, batch, xi), prior.arch.decoder_variance)
     if prior.step_size != 0.0:
         prior.flat += prior.step_size * prior.grad
     prior.train_steps += 1
@@ -363,54 +349,3 @@ def sample_actions(prior: VaePrior, n: int, rng: np.random.Generator) -> np.ndar
     """
     z = rng.standard_normal((*prior.flat.shape[:-1], n, prior.arch.latent_dim))
     return _decode_batch(prior, z)[2]
-
-
-def save_weights(prior: VaePrior, out: IO[str]) -> None:
-    """Plain-text snapshot: one (name, shape, row-major values) block per array."""
-    a = prior.arch
-    out.write("brdm-vae v1\n")
-    out.write(
-        f"arch {a.input_dim} {a.hidden_dim} {a.latent_dim} "
-        f"{repr(a.decoder_variance)} {a.hidden_activation}\n"
-    )
-    out.write(f"step_size {repr(prior.step_size)}\n")
-    out.write(f"train_steps {prior.train_steps}\n")
-    for name, arr in prior.params.items():
-        dims = " ".join(str(s) for s in arr.shape)
-        out.write(f"{name} {dims}\n")
-        out.write(" ".join(repr(float(v)) for v in arr.ravel()) + "\n")
-
-
-def load_weights(src: IO[str]) -> VaePrior:
-    """Rebuild a prior from a snapshot written by :func:`save_weights`."""
-    header = src.readline().strip()
-    if header != "brdm-vae v1":
-        raise ValueError(f"unrecognized weight snapshot header: {header!r}")
-    fields = src.readline().split()
-    arch = VaeArch(
-        input_dim=int(fields[1]),
-        hidden_dim=int(fields[2]),
-        latent_dim=int(fields[3]),
-        decoder_variance=float(fields[4]),
-        hidden_activation=fields[5],
-    )
-    step_size = float(src.readline().split()[1])
-    train_steps = int(src.readline().split()[1])
-    arrays: dict[str, np.ndarray] = {}
-    for line in src:
-        head = line.split()
-        if not head:
-            continue
-        name, dims = head[0], tuple(int(d) for d in head[1:])
-        values = np.array([float(v) for v in src.readline().split()])
-        arrays[name] = values.reshape(dims)
-    prior = zero_vae(arch, step_size)
-    prior.train_steps = train_steps
-    missing = set(prior.params) - set(arrays)
-    if missing:
-        raise ValueError(f"weight snapshot missing arrays: {sorted(missing)}")
-    for name, view in prior.params.items():
-        if arrays[name].shape != view.shape:
-            raise ValueError(f"weight snapshot array {name} has shape {arrays[name].shape}")
-        view[...] = arrays[name]
-    return prior

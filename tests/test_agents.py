@@ -27,7 +27,6 @@ def test_budget_split_validation():
         BudgetSplit(100, 30, 75)
     with pytest.raises(ValueError):
         BudgetSplit(100, -5, 105)
-    assert BudgetSplit.single(40) == BudgetSplit(40, 0, 40)
     assert BudgetSplit.fraction(100, 0.25) == BudgetSplit(100, 25, 75)
 
 
@@ -108,7 +107,7 @@ def test_train_system_updates_counts_and_buffers(gaussian_task):
 
 
 def test_train_system_zero_episodes(gaussian_task):
-    cfg = SystemConfig(num_priors=1, budget=BudgetSplit.single(10))
+    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(10, 0, 10))
     system, recs = train_system(gaussian_task, cfg, 0)
     assert recs == []
     assert system.multinomial.counts.sum() == 0
@@ -172,7 +171,7 @@ def test_empirical_mi_matches_known_channel(gaussian_task):
 
 
 def test_episode_csv_format(gaussian_task):
-    cfg = SystemConfig(num_priors=1, budget=BudgetSplit.single(5), seed=11)
+    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(5, 0, 5), seed=11)
     _, recs = train_system(gaussian_task, cfg, 3)
     buf = io.StringIO()
     write_episode_csv(recs, buf)

@@ -283,6 +283,16 @@ def test_plot_without_matplotlib_is_runtime_error(tmp_path, monkeypatch):
     assert main(["plot", "--out", str(out), "--force", "--no-render"]) == 0
 
 
+def test_plot_rejects_the_flags_it_does_not_read(tmp_path, capsys):
+    out = tmp_path / "run"
+    _run_and_baseline(out)
+    for flag in (["--config", str(tmp_path / "none.cfg")], ["--seed", "1"], ["--workers", "1"]):
+        assert main(["plot", "--out", str(out), "--no-render", *flag]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments")
+        assert not (out / "plot_figures.py").exists()
+    assert main(["plot", "--out", str(out), "--no-render"]) == 0
+
+
 def test_plot_script_frontier_only_for_empty_summary(tmp_path):
     script = generate_plot_script([(1.0, 0.2, 0.5)], [])
     assert "plot_frontier" in script
@@ -347,6 +357,7 @@ REJECTED_VALUES = [
     "tol = 0",
     "tol = -1",
     "max_iter = 0",
+    "seed = -1",
     "out = elsewhere",
 ]
 
@@ -366,6 +377,21 @@ def test_rejected_value_exits_1_before_out_is_touched(tmp_path, line):
     log.write_text("kept\n")
     assert main(["run", "--config", str(cfgfile), "--out", str(earlier), "--force"]) == 1
     assert log.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_1_before_out_is_touched(tmp_path, capsys, kind):
+    cfgfile = tmp_path / "exp.cfg"
+    if kind == "directory":
+        cfgfile.mkdir()
+    else:
+        cfgfile.write_bytes(b"seed = 1  # \xff\xfe\n")
+    for command in ("run", "baseline"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # a step size this large drives the VAE weights, and so the decisions, to NaN

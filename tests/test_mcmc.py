@@ -1,4 +1,4 @@
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +12,6 @@ from brdm.mcmc import (
     anneal_gamma,
     anneal_schedule,
     draw_index,
-    dump_trace,
     mh_accept_prob,
     reflect01,
     run_action_chain,
@@ -77,7 +76,19 @@ def _reference_reflect01(a):
     return np.where(r > 1.0, 2.0 - r, r)
 
 
-def _reference_action_chain(world, w, seed_action, cfg, n, rng, record_trace=True):
+def _recording(world):
+    """``world`` with a utility that records each call's action, as floats, and value."""
+    calls = []
+
+    def utility(w, a):
+        u = world.utility(w, a)
+        calls.append((np.asarray(a, dtype=float).tolist(), u))
+        return u
+
+    return dataclasses.replace(world, utility=utility), calls
+
+
+def _reference_action_chain(world, w, seed_action, cfg, n, rng):
     """The earlier numpy implementation of run_action_chain, kept as the oracle."""
     a = np.asarray(seed_action, dtype=float).copy()
     u = world.utility(w, a)
@@ -87,7 +98,6 @@ def _reference_action_chain(world, w, seed_action, cfg, n, rng, record_trace=Tru
     log_unif = np.log(rng.random(n))
     gamma0, alpha = cfg.gamma0, cfg.alpha
 
-    trace = []
     accepted = 0
     for k in range(n):
         gamma = gamma0 + alpha * math.log1p(k)
@@ -98,12 +108,9 @@ def _reference_action_chain(world, w, seed_action, cfg, n, rng, record_trace=Tru
         if ok:
             a, u = prop, pu
             accepted += 1
-        if record_trace:
-            trace.append((prop, pu, ok))
 
     return ChainResult(
         decision=a,
-        trace=tuple(trace),
         evaluations=n + 1,
         acceptance_rate=accepted / n,
         decision_utility=u,
@@ -123,10 +130,9 @@ def _plane_task():
     return WorldModel(num_worlds=3, rho=np.full(3, 1 / 3), utility=utility, action_dim=2)
 
 
-@pytest.mark.parametrize("record_trace", [True, False])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_action_chain_matches_reference_implementation(gaussian_task, dim, record_trace):
-    world = gaussian_task if dim == 1 else _plane_task()
+def test_action_chain_matches_reference_implementation(gaussian_task, dim):
+    base = gaussian_task if dim == 1 else _plane_task()
     for seed in range(500):
         cfg = ChainConfig(
             gamma0=(0.5, 1.0, 3.0)[seed % 3],
@@ -134,11 +140,13 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
         )
         steps = (1, 7, 75, 200)[seed % 4]
         setup = make_rng(10_000 + seed)
-        w = int(setup.integers(world.num_worlds))
+        w = int(setup.integers(base.num_worlds))
         seed_action = setup.random(dim)
         rng_ref, rng_new = make_rng(seed), make_rng(seed)
-        ref = _reference_action_chain(world, w, seed_action, cfg, steps, rng_ref, record_trace)
-        got = run_action_chain(world, w, seed_action, cfg, steps, rng_new, record_trace)
+        world_ref, calls_ref = _recording(base)
+        world_new, calls_new = _recording(base)
+        ref = _reference_action_chain(world_ref, w, seed_action, cfg, steps, rng_ref)
+        got = run_action_chain(world_new, w, seed_action, cfg, steps, rng_new)
 
         assert got.decision.dtype == ref.decision.dtype
         assert np.array_equal(got.decision, ref.decision)
@@ -146,18 +154,19 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
         assert got.seed_utility == ref.seed_utility
         assert got.acceptance_rate == ref.acceptance_rate
         assert got.evaluations == ref.evaluations
-        assert len(got.trace) == len(ref.trace) == (steps if record_trace else 0)
-        for (a1, u1, ok1), (a2, u2, ok2) in zip(got.trace, ref.trace):
-            assert np.array_equal(a1, a2) and u1 == u2 and ok1 == ok2
+        # the seed, then every proposal, with its utility
+        assert len(calls_new) == steps + 1
+        assert calls_new == calls_ref
         # both consumed the generator identically
         assert rng_new.random() == rng_ref.random()
 
 
 def test_action_chain_single_step_always_accepts(gaussian_task):
     cfg = ChainConfig(gamma0=0.0, alpha=0.0, proposal_sigma=0.1)
-    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, 1, make_rng(3))
+    world, calls = _recording(gaussian_task)
+    result = run_action_chain(world, 0, np.array([0.5]), cfg, 1, make_rng(3))
     assert result.acceptance_rate == 1.0
-    assert np.array_equal(result.decision, result.trace[0][0])
+    assert result.decision.tolist() == calls[1][0]
 
 
 def test_action_chain_flat_utility_accepts_everything():
@@ -179,7 +188,6 @@ def test_action_chain_counts_utility_calls(gaussian_task):
     result = run_action_chain(world, 2, np.array([0.1]), ChainConfig(), 57, make_rng(5))
     assert calls == 58
     assert result.evaluations == 58
-    assert len(result.trace) == 57
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -197,8 +205,9 @@ def test_action_chain_never_mutates_an_action_after_the_call(gaussian_task, dim)
     assert len(kept) == 201
     assert len({id(a) for a, _ in kept}) == len(kept)
     assert kept[0][0] == kept[0][1] == [0.4] * dim
-    for (a, at_call), (prop, _, _) in zip(kept[1:], result.trace):
-        assert list(a) == at_call == prop.tolist()
+    for a, at_call in kept:
+        assert list(a) == at_call
+    assert result.decision.tolist() in [at_call for _, at_call in kept]
 
 
 def test_action_chain_rejects_everything_returns_seed():
@@ -222,25 +231,27 @@ def test_action_chain_zero_steps_returns_seed(gaussian_task):
     assert result.decision_utility == result.seed_utility == gaussian_task.utility(1, [0.3])
     assert result.evaluations == 1
     assert result.acceptance_rate == 0.0
-    assert result.trace == ()
     assert rng.random() == untouched.random()
 
 
 def test_action_chain_visits_stay_inside_box(gaussian_task):
     cfg = ChainConfig(proposal_sigma=0.4)
-    result = run_action_chain(gaussian_task, 0, np.array([0.02]), cfg, 500, make_rng(7))
-    actions = np.array([step[0][0] for step in result.trace])
+    world, calls = _recording(gaussian_task)
+    run_action_chain(world, 0, np.array([0.02]), cfg, 500, make_rng(7))
+    actions = np.array([a for a, _ in calls])
+    assert len(actions) == 501
     assert actions.min() >= 0.0 and actions.max() <= 1.0
 
 
 def test_action_chain_reproducible(gaussian_task):
     cfg = ChainConfig()
-    r1 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, 80, make_rng(9))
-    r2 = run_action_chain(gaussian_task, 3, np.array([0.4]), cfg, 80, make_rng(9))
+    world1, calls1 = _recording(gaussian_task)
+    world2, calls2 = _recording(gaussian_task)
+    r1 = run_action_chain(world1, 3, np.array([0.4]), cfg, 80, make_rng(9))
+    r2 = run_action_chain(world2, 3, np.array([0.4]), cfg, 80, make_rng(9))
     assert np.array_equal(r1.decision, r2.decision)
     assert r1.acceptance_rate == r2.acceptance_rate
-    for (a1, u1, ok1), (a2, u2, ok2) in zip(r1.trace, r2.trace):
-        assert np.array_equal(a1, a2) and u1 == u2 and ok1 == ok2
+    assert len(calls1) == 81 and calls1 == calls2
 
 
 def test_action_chain_utility_grows_with_budget(gaussian_task):
@@ -253,9 +264,7 @@ def test_action_chain_utility_grows_with_budget(gaussian_task):
             rng = make_rng(seed)
             seed_action = rng.random(1)
             w = int(rng.integers(0, 6))
-            total += run_action_chain(
-                gaussian_task, w, seed_action, cfg, n, rng, record_trace=False
-            ).decision_utility
+            total += run_action_chain(gaussian_task, w, seed_action, cfg, n, rng).decision_utility
         means.append(total / 200)
     assert spearman_rho(budgets, means) > 0.9
 
@@ -365,20 +374,6 @@ def test_selection_chain_concentrates_on_best():
         run_selection_chain([0.9, 0.1, 0.1], px, cfg, 10, rng) == 0 for _ in range(10_000)
     )
     assert wins >= 9_500
-
-
-def test_dump_trace_format(gaussian_task):
-    cfg = ChainConfig()
-    result = run_action_chain(gaussian_task, 0, np.array([0.5]), cfg, 5, make_rng(12))
-    buf = io.StringIO()
-    dump_trace(result, cfg, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == 5
-    first = lines[0].split("\t")
-    assert first[0] == "0"
-    assert len(first) == 5
-    assert float(first[3]) == cfg.gamma0  # gamma at k=0
-    assert first[4] in ("0", "1")
 
 
 def test_chain_config_validation():
