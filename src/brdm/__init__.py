@@ -40,7 +40,6 @@ from .vae import (
     VaeArch,
     VaePrior,
     decode,
-    elbo,
     encode,
     init_vae,
     kl_to_standard_normal,

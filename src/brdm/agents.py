@@ -171,17 +171,16 @@ class DecisionSystem:
         if self._select:
             self._expected_evals += cfg.selection.utility_samples * cfg.num_priors
 
-    def draw_world(self, rng: np.random.Generator | None = None) -> int:
-        rng = self.rng if rng is None else rng
-        return bisect_right(self._rho_cum, rng.random())
+    def draw_world(self) -> int:
+        return bisect_right(self._rho_cum, self.rng.random())
 
-    def run_episode(self, w: int, rng: np.random.Generator | None = None) -> EpisodeRecord:
+    def run_episode(self, w: int) -> EpisodeRecord:
         """One decision episode for world ``w``; updates buffers and counts.
 
         Does not take a VAE gradient step; :func:`train_system` interleaves
         those, so evaluation episodes leave the weights untouched.
         """
-        rng = self.rng if rng is None else rng
+        rng = self.rng
         world = self.world
         budget = self.cfg.budget
         evals = 0

@@ -5,7 +5,8 @@ action grid, in the one driver ``_iterate``, until the max-norm change across
 all updated arrays drops below ``tol``. Each equation is stated once, in the
 helper named on its right; ``_gibbs`` is the one Boltzmann normalisation:
 
-single stage   p(a|w)   = p(a) exp(beta U(w,a)) / Z(w)           _gibbs
+single stage   K(w,a)   = exp(beta U(w,a)) / sum_a exp(beta U(w,a))  _gibbs
+               p(a|w)   = p(a) K(w,a) / sum_a p(a) K(w,a)
                p(a)     = sum_w rho(w) p(a|w)
 two stage      p(x|w)   = p(x) exp(beta1 dF(w,x)) / Z(w)         _stage1_policy
                p(x)     = sum_w rho(w) p(x|w)
@@ -15,9 +16,12 @@ two stage      p(x|w)   = p(x) exp(beta1 dF(w,x)) / Z(w)         _stage1_policy
                dF(w,x)  = E_{p(a|w,x)}[U(w,a)] - KL(p(a|w,x) || p(a|x)) / beta2
                                                                   _delta_free_energy
 
-Internal free energies and KL terms are in nats; mutual information is
-reported in bits. All exponentials are accumulated in the log domain with
-per-row max subtraction so betas up to 1e6 are safe.
+The single-stage exponentials are taken once per solve, in ``_gibbs``: the
+kernel K does not change within a solve, so each sweep only multiplies by it
+and renormalises. The two-stage exponentials are taken on every sweep, in
+the log domain. ``_gibbs`` subtracts each row's max first, so betas up to
+1e6 are safe. Internal free energies and KL terms are in nats; mutual
+information is reported in bits.
 """
 
 from __future__ import annotations
@@ -196,26 +200,30 @@ def solve_single_stage(
     Non-convergence is not an error: the returned policy carries
     ``converged`` and the final residual, and the caller decides severity.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError("beta must be finite and >= 0")
     grid = action_grid(grid_size)
     rho = world.rho
+    nw = world.num_worlds
 
+    kernel = _gibbs(beta * utility_table(world, grid))
+    # rows 0..W-1 hold p(a|w), row W holds p(a): one array, one residual
+    state = np.empty((nw + 1, grid_size))
     if init_marginal is None:
-        marginal = np.full(grid_size, 1.0 / grid_size)
+        state[:] = 1.0 / grid_size
     else:
-        marginal = _floor_norm(np.asarray(init_marginal, dtype=float))
-    cond = np.tile(marginal, (world.num_worlds, 1))
+        state[:] = _floor_norm(np.asarray(init_marginal, dtype=float))
 
-    bu = beta * utility_table(world, grid)
+    def sweep(states):
+        (old,) = states
+        new = np.empty_like(old)
+        cond = np.multiply(old[nw], kernel, out=new[:nw])
+        cond /= cond.sum(axis=1, keepdims=True)
+        new[nw] = _floor_norm(rho @ cond)
+        return (new,)
 
-    def sweep(state):
-        _, marginal = state
-        cond = _gibbs(np.log(marginal)[None, :] + bu)
-        return cond, _floor_norm(rho @ cond)
-
-    (cond, marginal), *status = _iterate(sweep, (cond, marginal), tol, max_iter)
-    return DiscretePolicy(grid, cond, marginal, *status)
+    (state,), *status = _iterate(sweep, (state,), tol, max_iter)
+    return DiscretePolicy(grid, state[:nw], state[nw], *status)
 
 
 def _stage1_policy(px: np.ndarray, delta_f: np.ndarray, beta1: float) -> np.ndarray:
@@ -268,8 +276,8 @@ def solve_two_stage(
     would never specialize. The perturbation RNG defaults to a fixed seed so
     repeated solves are bit-identical.
     """
-    if beta1 < 0.0 or beta2 < 0.0:
-        raise ValueError("beta1 and beta2 must be >= 0")
+    if not (0.0 <= beta1 < np.inf and 0.0 <= beta2 < np.inf):
+        raise ValueError("beta1 and beta2 must be finite and >= 0")
     if num_priors < 1:
         raise ValueError("num_priors must be >= 1")
     if num_priors > world.num_worlds:

@@ -84,7 +84,8 @@ def _parser(hint):
     return hint
 
 
-_PARSERS = {key: _parser(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
+_HINTS = get_type_hints(ExperimentConfig)
+_PARSERS = {key: _parser(hint) for key, hint in _HINTS.items()}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -93,8 +94,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
     Every other range is checked by the domain types themselves (task spec,
     action grid, chain, selection, VAE and system configs); their
     ValueError becomes a ConfigError. No domain type owns the frontier's
-    ``tol`` and ``max_iter``, so they are checked here.
+    ``tol`` and ``max_iter``, so they are checked here. Every ``float`` and
+    ``tuple[float, ...]`` field must be finite first: NaN passes any range
+    comparison.
     """
+    for key, hint in _HINTS.items():
+        if float in (hint, *get_args(hint)):
+            value = getattr(cfg, key)
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ConfigError(f"{key} must be finite, got {_format_value(value)}")
     if not cfg.agent_kinds:
         raise ConfigError("agent_kinds must not be empty")
     for kind in cfg.agent_kinds:

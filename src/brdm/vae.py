@@ -254,13 +254,6 @@ def elbo_given_noise(
     return ElboReport(batch - out, mu, var, prior.arch.decoder_variance)
 
 
-def elbo(prior: VaePrior, batch: np.ndarray, rng: np.random.Generator) -> ElboReport:
-    """Single-sample bound with fresh reparameterization noise."""
-    batch = np.asarray(batch, dtype=float)
-    xi = rng.standard_normal((batch.shape[0], prior.arch.latent_dim))
-    return elbo_given_noise(prior, batch, xi)
-
-
 def _backprop(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -211,7 +211,8 @@ def test_draw_world_matches_reference_implementation(rho):
     picked = set()
     for seed in range(3000):
         a, b = make_rng(seed), make_rng(seed)
-        w = system.draw_world(a)
+        system.rng = a
+        w = system.draw_world()
         assert w == _reference_draw_world(rho, b)
         assert a.random() == b.random()
         picked.add(w)
@@ -240,7 +241,8 @@ def test_draw_world_never_passes_the_last_world(rho, last):
     # the running sum of rho can stop short of 1, below the largest uniform
     world = WorldModel(num_worlds=len(rho), rho=rho, utility=lambda w, a: 0.0)
     system = DecisionSystem(world, SystemConfig(num_priors=1), make_rng(0))
-    assert system.draw_world(_LargestUniform()) == last
+    system.rng = _LargestUniform()
+    assert system.draw_world() == last
 
 
 def test_empirical_mi_rejects_non_finite_decisions():
@@ -264,9 +266,9 @@ def test_selection_prefers_matching_prior_after_training(gaussian_task):
     for r in recs[-300:]:
         modal.setdefault(r.world, []).append(r.selected_prior)
     modal = {w: max(set(v), key=v.count) for w, v in modal.items()}
-    eval_rng = make_rng(123)
+    system.rng = make_rng(123)
     hits = 0
     trials = 300
     for _ in range(trials):
-        hits += system.run_episode(0, eval_rng).selected_prior == modal[0]
+        hits += system.run_episode(0).selected_prior == modal[0]
     assert hits / trials >= 0.9

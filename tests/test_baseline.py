@@ -253,9 +253,11 @@ def test_utility_table_shape(gaussian_task):
     assert table.max() <= 1.0 and table.min() >= 0.0
 
 
-# The solvers as they were before each fixed-point equation moved into one
-# helper, kept verbatim (with the private helpers they used) as references
-# that the shared-helper solvers must reproduce bit for bit.
+# Plain-loop references that the solvers must reproduce bit for bit. The
+# two-stage one is the solver as it was before each fixed-point equation moved
+# into one helper, kept verbatim (with the private helpers it used). The
+# single-stage one states the kernel form that the solver uses; the log-domain
+# loop it replaced is kept as a reference within a rounding tolerance.
 
 _REF_FLOOR = 1e-280
 
@@ -287,6 +289,42 @@ def _reference_max_change(new, old):
 
 def _reference_solve_single_stage(world, beta, grid_size=100, tol=1e-10, max_iter=10_000,
                                   init_marginal=None):
+    """The kernel-form iteration as a plain loop: exponentials once, then tilts."""
+    grid = action_grid(grid_size)
+    rho = world.rho
+
+    if init_marginal is None:
+        marginal = np.full(grid_size, 1.0 / grid_size)
+    else:
+        marginal = _reference_floor_norm(np.asarray(init_marginal, dtype=float))
+    cond = np.tile(marginal, (world.num_worlds, 1))
+
+    logits = beta * utility_table(world, grid)
+    logits -= logits.max(axis=1, keepdims=True)
+    kernel = np.exp(logits)
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    converged = False
+    residual = np.inf
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        new_cond = marginal[None, :] * kernel
+        new_cond /= new_cond.sum(axis=1, keepdims=True)
+        new_marginal = _reference_floor_norm(rho @ new_cond)
+
+        residual = max(
+            float(np.abs(new_cond - cond).max()),
+            float(np.abs(new_marginal - marginal).max()),
+        )
+        cond, marginal = new_cond, new_marginal
+        if residual < tol:
+            converged = True
+            break
+    return cond, marginal, converged, iteration, residual
+
+
+def _log_domain_reference_single_stage(world, beta, grid_size=100, tol=1e-10,
+                                       max_iter=10_000, init_marginal=None):
+    """The log-domain iteration: shift log p(a) + beta U by its row max, exp, normalise."""
     grid = action_grid(grid_size)
     rho = world.rho
 
@@ -457,3 +495,47 @@ def test_single_stage_and_frontier_match_reference_bit_for_bit(gaussian_task):
         assert point.mutual_info_bits == mutual_information(rho, cond)
         assert point.expected_utility == float(rho @ (cond * table).sum(axis=1))
         assert point.converged == converged
+
+
+# the capped and the slowest default betas, each run cold to the default cap
+_SLOW_DEFAULT_BETAS = [float(b) for b in np.logspace(-1, 4, 20)[[0, 5, 8]]]
+
+
+def test_single_stage_matches_log_domain_reference(gaussian_task):
+    start = np.linspace(0.0, 1.0, 100)
+    settings = [(0.0, None, 300), (1.0, None, 300), (20.0, None, 300), (1e4, None, 300),
+                (3.0, start, 300)]
+    settings += [(beta, None, 10_000) for beta in _SLOW_DEFAULT_BETAS]
+    for beta, init, max_iter in settings:
+        policy = solve_single_stage(gaussian_task, beta, max_iter=max_iter, init_marginal=init)
+        cond, marginal, converged, iterations, _ = _log_domain_reference_single_stage(
+            gaussian_task, beta, max_iter=max_iter, init_marginal=init
+        )
+        assert (policy.converged, policy.iterations) == (converged, iterations)
+        assert np.abs(policy.cond - cond).max() <= 1e-12
+        assert np.abs(policy.marginal - marginal).max() <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e3, 1e5, 1e6])
+def test_single_stage_finite_where_the_kernel_underflows_under_the_start(gaussian_task, beta):
+    # all the start's mass sits where exp(beta U - max) is exactly 0 for most worlds
+    start = np.full(100, 1e-300)
+    start[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy = solve_single_stage(gaussian_task, beta, init_marginal=start)
+    assert np.isfinite(policy.cond).all() and np.isfinite(policy.marginal).all()
+    assert np.abs(policy.cond.sum(axis=1) - 1.0).max() <= 1e-12
+    assert abs(policy.marginal.sum() - 1.0) <= 1e-12
+    ref_cond = _log_domain_reference_single_stage(gaussian_task, beta, init_marginal=start)[0]
+    assert np.array_equal(policy.cond.argmax(axis=1), ref_cond.argmax(axis=1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solvers_reject_non_finite_beta(gaussian_task, bad):
+    with pytest.raises(ValueError, match="finite"):
+        solve_single_stage(gaussian_task, bad)
+    with pytest.raises(ValueError, match="finite"):
+        solve_two_stage(gaussian_task, bad, 1.0, num_priors=2)
+    with pytest.raises(ValueError, match="finite"):
+        solve_two_stage(gaussian_task, 1.0, bad, num_priors=2)

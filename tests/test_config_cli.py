@@ -354,6 +354,13 @@ REJECTED_VALUES = [
     "hidden_activation = tanh",
     "step_size = -1",
     "step_size = nan",
+    "betas = nan",
+    "betas = 1, inf",
+    "gamma0 = nan",
+    "alpha = inf",
+    "alpha_sel = nan",
+    "width = inf",
+    "means = nan, 0.3, 0.5, 0.7, 0.8, 0.9",
     "tol = 0",
     "tol = -1",
     "max_iter = 0",

@@ -9,7 +9,6 @@ from brdm.vae import (
     VaeArch,
     VaePrior,
     decode,
-    elbo,
     elbo_given_noise,
     elbo_gradients,
     encode,
@@ -100,7 +99,8 @@ def test_elbo_perfect_autoencoding_fixture():
     prior = zero_vae(VaeArch())
     prior.params["enc_bvar"] += 1.0 - VAR_FLOOR
     batch = np.full((8, 1), 0.5)
-    report = elbo(prior, batch, make_rng(0))
+    xi = make_rng(0).standard_normal((8, prior.arch.latent_dim))
+    report = elbo_given_noise(prior, batch, xi)
     assert report.reconstruction == 0.0
     assert report.kl == 0.0
     assert report.elbo == 0.0
@@ -111,7 +111,7 @@ def test_elbo_never_exceeds_reconstruction():
     prior = init_vae(VaeArch(), rng)
     for _ in range(20):
         batch = rng.uniform(0.05, 0.95, size=(6, 1))
-        report = elbo(prior, batch, rng)
+        report = elbo_given_noise(prior, batch, rng.standard_normal((6, prior.arch.latent_dim)))
         assert report.elbo <= report.reconstruction
         assert report.kl >= 0.0
 
@@ -119,8 +119,9 @@ def test_elbo_never_exceeds_reconstruction():
 def test_elbo_deterministic_given_seed():
     prior = init_vae(VaeArch(), make_rng(12))
     batch = np.array([[0.2], [0.6], [0.9]])
-    r1 = elbo(prior, batch, make_rng(99))
-    r2 = elbo(prior, batch, make_rng(99))
+    shape = (batch.shape[0], prior.arch.latent_dim)
+    r1 = elbo_given_noise(prior, batch, make_rng(99).standard_normal(shape))
+    r2 = elbo_given_noise(prior, batch, make_rng(99).standard_normal(shape))
     assert (r1.reconstruction, r1.kl, r1.elbo) == (r2.reconstruction, r2.kl, r2.elbo)
 
 
