@@ -26,7 +26,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import WorldModel, make_rng
+from .core import WorldModel
 from .mcmc import ChainConfig, SelectionConfig, draw_index, run_action_chain, run_selection_chain
 from .vae import VaeArch, VaePrior, init_vae, param_count, sample_action, sample_actions, train_step
 
@@ -39,24 +39,24 @@ class BudgetSplit:
 
     total_steps: int = 100
     selection_steps: int = 25
-    action_steps: int = 75
 
     def __post_init__(self):
-        if self.selection_steps < 0 or self.action_steps < 0:
-            raise ValueError("step counts must be >= 0")
-        if self.selection_steps + self.action_steps != self.total_steps:
-            raise ValueError("selection_steps + action_steps must equal total_steps")
+        if not 0 <= self.selection_steps <= self.total_steps:
+            raise ValueError("selection_steps must lie in [0, total_steps]")
+
+    @property
+    def action_steps(self) -> int:
+        return self.total_steps - self.selection_steps
 
     @staticmethod
     def fraction(total_steps: int, selection_fraction: float = 0.25) -> "BudgetSplit":
         """Round a fraction of the budget onto the selection chain."""
-        sel = int(round(selection_fraction * total_steps))
-        return BudgetSplit(total_steps, sel, total_steps - sel)
+        return BudgetSplit(total_steps, int(round(selection_fraction * total_steps)))
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything needed to build a decision system, plus the master seed."""
+    """Everything needed to build a decision system except its generator."""
 
     num_priors: int = 3
     budget: BudgetSplit = BudgetSplit()
@@ -66,7 +66,6 @@ class SystemConfig:
     step_size: float = 0.01
     buffer_size: int = 256
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_priors < 1:
@@ -140,18 +139,13 @@ class DecisionSystem:
     the selection stage.
 
     Training mutates the system between episodes, so a system instance is
-    single-threaded; run independent (config, seed) instances to parallelize.
+    single-threaded; run independent (config, generator) instances to parallelize.
     """
 
-    def __init__(
-        self,
-        world: WorldModel,
-        cfg: SystemConfig,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, world: WorldModel, cfg: SystemConfig, rng: np.random.Generator):
         self.world = world
         self.cfg = cfg
-        self.rng = make_rng(cfg.seed) if rng is None else rng
+        self.rng = rng
         bank = np.empty((cfg.num_priors, param_count(cfg.vae)))
         self.vaes: tuple[VaePrior, ...] = tuple(
             init_vae(cfg.vae, self.rng, cfg.step_size, row) for row in bank
@@ -227,10 +221,7 @@ class DecisionSystem:
 
 
 def train_system(
-    world: WorldModel,
-    cfg: SystemConfig,
-    num_episodes: int,
-    rng: np.random.Generator | None = None,
+    world: WorldModel, cfg: SystemConfig, num_episodes: int, rng: np.random.Generator
 ) -> tuple[DecisionSystem, list[EpisodeRecord]]:
     """Run episodes with worlds drawn i.i.d. from rho, training as we go."""
     system = DecisionSystem(world, cfg, rng)

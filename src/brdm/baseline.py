@@ -140,7 +140,8 @@ def mutual_information(rho: np.ndarray, cond: np.ndarray) -> float:
     marginal = joint.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(joint > 0.0, joint * np.log2(cond / marginal[None, :]), 0.0)
-    return float(terms.sum())
+    # I(W;A) >= 0; the sum can round a hair below zero for a near-uniform channel
+    return max(float(terms.sum()), 0.0)
 
 
 def _table_expected_utility(rho: np.ndarray, cond: np.ndarray, table: np.ndarray) -> float:

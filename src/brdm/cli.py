@@ -76,11 +76,18 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _prepare_out_dir(path: str | Path, force: bool) -> Path:
+def _make_out_dir(path: str | Path) -> Path:
     out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _prepare_out_dir(path: str | Path, force: bool) -> Path:
+    out = _make_out_dir(path)
+    if any(out.iterdir()) and not force:
+        raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
     return out
 
 
@@ -122,8 +129,7 @@ def cmd_plot(
     The script and bundle are written first, so a render that fails for want
     of matplotlib (RuntimeError) still leaves them in place.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     frontier_file = Path(frontier_path) if frontier_path else out / FRONTIER_CSV
     summary_file = Path(summary_path) if summary_path else out / SUMMARY_CSV
     if not frontier_file.exists():

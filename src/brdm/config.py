@@ -189,34 +189,24 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _from_config(cls, cfg: ExperimentConfig, **fixed):
+    """Build ``cls`` from the config keys that share its field names, then ``fixed``."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _HINTS}
+    return cls(**{**shared, **fixed})
+
+
 def task_spec(cfg: ExperimentConfig) -> GaussianTaskSpec:
-    return GaussianTaskSpec(num_worlds=cfg.num_worlds, width=cfg.width, means=cfg.means)
+    return _from_config(GaussianTaskSpec, cfg)
 
 
 def system_config(cfg: ExperimentConfig, kind: str, budget: BudgetSplit) -> SystemConfig:
     """Build the per-agent config; single-prior agents always get one prior."""
-    return SystemConfig(
-        num_priors=1 if kind == "single" else cfg.num_priors,
+    return _from_config(
+        SystemConfig,
+        cfg,
         budget=budget,
-        chain=ChainConfig(
-            gamma0=cfg.gamma0,
-            alpha=cfg.alpha,
-            proposal_sigma=cfg.proposal_sigma,
-        ),
-        selection=SelectionConfig(
-            gamma_sel0=cfg.gamma_sel0,
-            alpha_sel=cfg.alpha_sel,
-            utility_samples=cfg.utility_samples,
-        ),
-        vae=VaeArch(
-            input_dim=1,
-            hidden_dim=cfg.hidden_dim,
-            latent_dim=cfg.latent_dim,
-            decoder_variance=cfg.decoder_variance,
-            hidden_activation=cfg.hidden_activation,
-        ),
-        step_size=cfg.step_size,
-        buffer_size=cfg.buffer_size,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
+        chain=_from_config(ChainConfig, cfg),
+        selection=_from_config(SelectionConfig, cfg),
+        vae=_from_config(VaeArch, cfg, input_dim=1),
+        **({"num_priors": 1} if kind == "single" else {}),
     )

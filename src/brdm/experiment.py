@@ -104,11 +104,7 @@ def run_cell(
 ) -> SummaryRow:
     """Train one system and summarize its final episode window."""
     world = make_gaussian_task(task_spec(cfg))
-    budget = BudgetSplit(
-        total_steps=cell.total_steps,
-        selection_steps=cell.total_steps - cell.action_steps,
-        action_steps=cell.action_steps,
-    )
+    budget = BudgetSplit(cell.total_steps, cell.total_steps - cell.action_steps)
     sys_cfg = system_config(cfg, cell.kind, budget)
     rng = spawn_rng(cfg.seed, cell.index)
     # Diverging VAE weights overflow to inf and NaN; the summary's
@@ -142,17 +138,13 @@ def _run_cell_task(args: tuple[ExperimentConfig, CellSpec, str | None]) -> Summa
     return run_cell(*args)
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    workers: int | None = None,
-) -> list[SummaryRow]:
-    """Run all cells on a bounded worker pool; rows come back in cell order."""
+def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[SummaryRow]:
+    """Run all cells, at most one pool worker per cell; rows come back in cell order."""
     cells = build_cells(cfg)
-    if not workers:
-        workers = cfg.workers or os.cpu_count() or 1
+    # a fork pool starts every worker up front, so none beyond the cell count
+    workers = min(cfg.workers or os.cpu_count() or 1, len(cells))
     out = str(out_dir) if out_dir is not None else None
-    if workers <= 1 or len(cells) <= 1:
+    if workers <= 1:
         return [run_cell(cfg, cell, out) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_task, [(cfg, cell, out) for cell in cells]))

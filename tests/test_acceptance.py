@@ -335,8 +335,8 @@ def test_criterion_9_prior_specialization(task):
         pairs = sorted(tuple(int(w) for w in np.where(post[:, x] > 0.45)[0]) for x in range(3))
         assert pairs == [(0, 1), (2, 3), (4, 5)]
 
-        cfg = SystemConfig(num_priors=3, budget=BudgetSplit(100, 25, 75), seed=0)
-        _, records = train_system(task, cfg, 5000)
+        cfg = SystemConfig(num_priors=3, budget=BudgetSplit(100, 25))
+        _, records = train_system(task, cfg, 5000, make_rng(0))
         window = records[-500:]
         best = 0.0
         for perm in itertools.permutations(range(3)):

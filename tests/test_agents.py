@@ -22,12 +22,12 @@ from brdm.vae import VaeArch, zero_vae
 
 
 def test_budget_split_validation():
-    BudgetSplit(100, 25, 75)
+    assert BudgetSplit(100, 25).action_steps == 75
     with pytest.raises(ValueError):
-        BudgetSplit(100, 30, 75)
+        BudgetSplit(100, 101)
     with pytest.raises(ValueError):
-        BudgetSplit(100, -5, 105)
-    assert BudgetSplit.fraction(100, 0.25) == BudgetSplit(100, 25, 75)
+        BudgetSplit(100, -5)
+    assert BudgetSplit.fraction(100, 0.25) == BudgetSplit(100, 25)
 
 
 def test_multinomial_prior_smoothing():
@@ -39,10 +39,8 @@ def test_multinomial_prior_smoothing():
     assert sum(prior.px) == pytest.approx(1.0)
 
 
-def _single_config(total, action, **kw):
-    return SystemConfig(
-        num_priors=1, budget=BudgetSplit(total, total - action, action), **kw
-    )
+def _single_config(total, action):
+    return SystemConfig(num_priors=1, budget=BudgetSplit(total, total - action))
 
 
 def test_zero_action_steps_returns_seed(gaussian_task):
@@ -71,7 +69,7 @@ def test_budget_accounting_multi(gaussian_task):
         return gaussian_task.utility(w, a)
 
     world = WorldModel(num_worlds=6, rho=gaussian_task.rho, utility=counting)
-    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(40, 10, 30))
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(40, 10))
     system = DecisionSystem(world, cfg, make_rng(1))
     record = system.run_episode(3)
     # 3 candidates x 3 samples for the estimates, then seed + 30 proposals
@@ -81,16 +79,16 @@ def test_budget_accounting_multi(gaussian_task):
 
 
 def test_budget_accounting_skips_estimates_without_selection_steps(gaussian_task):
-    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(30, 0, 30))
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(30, 0))
     system = DecisionSystem(gaussian_task, cfg, make_rng(2))
     record = system.run_episode(1)
     assert record.utility_evaluations == 31
 
 
 def test_train_system_reproducible(gaussian_task):
-    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(20, 5, 15), seed=7)
-    _, recs1 = train_system(gaussian_task, cfg, 50)
-    _, recs2 = train_system(gaussian_task, cfg, 50)
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(20, 5))
+    _, recs1 = train_system(gaussian_task, cfg, 50, make_rng(7))
+    _, recs2 = train_system(gaussian_task, cfg, 50, make_rng(7))
     for a, b in zip(recs1, recs2):
         assert a.world == b.world and a.selected_prior == b.selected_prior
         assert np.array_equal(a.decision, b.decision)
@@ -98,8 +96,8 @@ def test_train_system_reproducible(gaussian_task):
 
 
 def test_train_system_updates_counts_and_buffers(gaussian_task):
-    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(20, 5, 15), seed=3)
-    system, recs = train_system(gaussian_task, cfg, 60)
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(20, 5))
+    system, recs = train_system(gaussian_task, cfg, 60, make_rng(3))
     assert len(recs) == 60
     assert system.multinomial.counts.sum() == 60
     assert sum(len(b) for b in system.buffers) == 60
@@ -107,8 +105,8 @@ def test_train_system_updates_counts_and_buffers(gaussian_task):
 
 
 def test_train_system_zero_episodes(gaussian_task):
-    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(10, 0, 10))
-    system, recs = train_system(gaussian_task, cfg, 0)
+    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(10, 0))
+    system, recs = train_system(gaussian_task, cfg, 0, make_rng(0))
     assert recs == []
     assert system.multinomial.counts.sum() == 0
 
@@ -171,8 +169,8 @@ def test_empirical_mi_matches_known_channel(gaussian_task):
 
 
 def test_episode_csv_format(gaussian_task):
-    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(5, 0, 5), seed=11)
-    _, recs = train_system(gaussian_task, cfg, 3)
+    cfg = SystemConfig(num_priors=1, budget=BudgetSplit(5, 0))
+    _, recs = train_system(gaussian_task, cfg, 3, make_rng(11))
     buf = io.StringIO()
     write_episode_csv(recs, buf)
     text = buf.getvalue()
@@ -258,10 +256,8 @@ def test_empirical_mi_rejects_non_finite_decisions():
 def test_selection_prefers_matching_prior_after_training(gaussian_task):
     # after training, episodes on a fixed world select that world's
     # specialized prior almost always once the selection gets greedy
-    cfg = SystemConfig(
-        num_priors=3, budget=BudgetSplit(100, 25, 75), seed=0
-    )
-    system, recs = train_system(gaussian_task, cfg, 3000)
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(100, 25))
+    system, recs = train_system(gaussian_task, cfg, 3000, make_rng(0))
     modal = {}
     for r in recs[-300:]:
         modal.setdefault(r.world, []).append(r.selected_prior)

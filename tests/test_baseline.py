@@ -173,6 +173,13 @@ def test_frontier_single_beta_zero(gaussian_task):
     assert points[0].mutual_info_bits == pytest.approx(0.0, abs=1e-12)
 
 
+def test_frontier_mi_never_below_zero(gaussian_task):
+    # the beta = 0 channel is uniform up to rounding, whose sum fell to -1.6e-16
+    points = rate_distortion_curve(gaussian_task, [0.0, 0.3, 5.0, 1e5, 1e6], grid_size=37)
+    assert points[0].mutual_info_bits == 0.0
+    assert all(p.mutual_info_bits >= 0.0 for p in points)
+
+
 def test_frontier_monotone_and_boltzmann_limit(gaussian_task):
     betas = list(np.logspace(-1, 4, 20))
     points = rate_distortion_curve(gaussian_task, betas)

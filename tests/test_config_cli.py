@@ -1,20 +1,30 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brdm.experiment
+from brdm.agents import BudgetSplit, SystemConfig
+from brdm.baseline import rate_distortion_curve, solve_single_stage, solve_two_stage
 from brdm.cli import cmd_baseline, cmd_plot, cmd_run, main
 from brdm.config import (
     ConfigError,
     ExperimentConfig,
     load_config,
     serialize_config,
+    system_config,
+    task_spec,
     validate_config,
 )
+from brdm.core import GaussianTaskSpec
+from brdm.mcmc import ChainConfig, SelectionConfig
+from brdm.vae import VaeArch
 from brdm.experiment import (
     FRONTIER_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -134,15 +144,42 @@ def test_build_cells_fraction_rule():
 
 def test_run_sweep_rows_and_worker_independence(tmp_path):
     cfg = small_config()
-    rows1 = run_sweep(cfg, workers=1)
-    rows2 = run_sweep(cfg, workers=2)
+    rows1 = run_sweep(replace(cfg, workers=1))
+    rows2 = run_sweep(replace(cfg, workers=2))
     assert rows1 == rows2
     assert {r.agent_kind for r in rows1} == {"single", "multi"}
 
 
+def test_run_sweep_pool_never_exceeds_the_cells(monkeypatch):
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(brdm.experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = small_config()
+    cells = len(build_cells(cfg))
+    assert cells == 2
+    serial = run_sweep(cfg)
+    assert run_sweep(replace(cfg, workers=10_000)) == serial
+    assert run_sweep(replace(cfg, workers=0)) == serial
+    assert pool_sizes == [cells, cells]
+
+
 def test_summary_csv_format(tmp_path):
     cfg = small_config(agent_kinds=("single",))
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     out = tmp_path / "summary.csv"
     with open(out, "w", newline="\n") as fh:
         write_summary_csv(rows, fh)
@@ -329,10 +366,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
     # plot without inputs is a usage error
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 1
-    # output path colliding with a file is a runtime error
+
+
+@pytest.mark.parametrize("command", ["baseline", "run", "plot"])
+def test_out_naming_a_file_exits_1_and_keeps_the_file(tmp_path, capsys, command):
     blocked = tmp_path / "blocked"
     blocked.write_text("file, not dir")
-    assert main(["baseline", "--config", str(cfgfile), "--out", str(blocked)]) == 2
+    assert main([command, "--out", str(blocked)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert blocked.read_text() == "file, not dir"
 
 
 # values that a domain type rejects, and the output directory, which is only --out
@@ -451,3 +493,69 @@ def test_seed_override_changes_results(tmp_path):
     a = (tmp_path / "s0" / "summary.csv").read_text()
     b = (tmp_path / "s1" / "summary.csv").read_text()
     assert a != b
+
+
+# a valid value, unlike the default, for every config key that names a domain field
+NON_DEFAULT_SHARED = dict(
+    num_worlds=4,
+    width=0.2,
+    means=(0.1, 0.4, 0.6, 0.9),
+    num_priors=5,
+    gamma0=2.0,
+    alpha=3.0,
+    proposal_sigma=0.05,
+    gamma_sel0=0.5,
+    alpha_sel=7.0,
+    utility_samples=4,
+    hidden_dim=8,
+    latent_dim=3,
+    decoder_variance=0.02,
+    hidden_activation="sigmoid",
+    step_size=0.005,
+    buffer_size=128,
+    batch_size=16,
+)
+DOMAIN_TYPES = (GaussianTaskSpec, ChainConfig, SelectionConfig, VaeArch, SystemConfig)
+
+
+def _shared_keys():
+    config_keys = {f.name for f in fields(ExperimentConfig)}
+    return {f.name for cls in DOMAIN_TYPES for f in fields(cls)} & config_keys
+
+
+def test_every_shared_config_key_reaches_its_domain_type():
+    assert set(NON_DEFAULT_SHARED) == _shared_keys()
+    defaults = ExperimentConfig()
+    for key, value in NON_DEFAULT_SHARED.items():
+        assert value != getattr(defaults, key), key
+    cfg = replace(defaults, **NON_DEFAULT_SHARED)
+    validate_config(cfg)
+    budget = BudgetSplit(40, 10)
+    multi = system_config(cfg, "multi", budget)
+    built = (task_spec(cfg), multi.chain, multi.selection, multi.vae, multi)
+    carried = set()
+    for obj in built:
+        for f in fields(obj):
+            if f.name in NON_DEFAULT_SHARED:
+                assert getattr(obj, f.name) == NON_DEFAULT_SHARED[f.name], f.name
+                carried.add(f.name)
+    assert carried == set(NON_DEFAULT_SHARED)
+    assert multi.budget == budget and multi.vae.input_dim == 1
+    single = system_config(cfg, "single", budget)
+    assert single.num_priors == 1
+    assert replace(single, num_priors=cfg.num_priors) == multi
+
+
+def test_library_and_cli_defaults_agree():
+    defaults = ExperimentConfig()
+    for cls in DOMAIN_TYPES:
+        for f in fields(cls):
+            if f.name in _shared_keys():
+                assert f.default == getattr(defaults, f.name), (cls.__name__, f.name)
+    for solver in (solve_single_stage, solve_two_stage, rate_distortion_curve):
+        params = inspect.signature(solver).parameters
+        for key in ("grid_size", "tol", "max_iter"):
+            assert params[key].default == getattr(defaults, key), (solver.__name__, key)
+    assert BudgetSplit() == BudgetSplit.fraction(
+        defaults.total_steps[0], defaults.selection_fraction
+    )
