@@ -14,7 +14,8 @@ A system owns one VAE prior per index x. Each episode for a world state w:
 Utility-call accounting per episode: the action stage always costs
 action_steps + 1 evaluations (seed included); the selection stage adds
 utility_samples * num_priors when it runs. Selection-chain proposals reuse
-the cached estimates and cost no evaluations.
+the cached estimates and cost no evaluations. Episode logs are written by
+:mod:`brdm.experiment`; this module holds the decision logic only.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import WorldModel
 from .mcmc import ChainConfig, SelectionConfig, draw_index, run_action_chain, run_selection_chain
 from .vae import VaeArch, VaePrior, init_vae, param_count, sample_action, sample_actions, train_step
-
-EPISODE_CSV_HEADER = "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
 
 
 @dataclass(frozen=True)
@@ -143,6 +142,11 @@ class DecisionSystem:
     """
 
     def __init__(self, world: WorldModel, cfg: SystemConfig, rng: np.random.Generator):
+        if cfg.vae.input_dim != world.action_dim:
+            raise ValueError(
+                f"cfg.vae.input_dim = {cfg.vae.input_dim} must equal "
+                f"world.action_dim = {world.action_dim}"
+            )
         self.world = world
         self.cfg = cfg
         self.rng = rng
@@ -232,21 +236,6 @@ def train_system(
         system.train_prior(record.selected_prior)
         records.append(record)
     return system, records
-
-
-def _component_str(a: np.ndarray) -> str:
-    return ";".join(format(c, ".12g") for c in a.tolist())
-
-
-def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:
-    """Episode log export; actions with d > 1 join components with ';'."""
-    out.write(EPISODE_CSV_HEADER + "\n")
-    for i, r in enumerate(records):
-        out.write(
-            f"{i},{r.world},{r.selected_prior},{_component_str(r.seed_action)},"
-            f"{_component_str(r.decision)},{format(r.utility, '.12g')},"
-            f"{format(r.seed_utility, '.12g')},{r.utility_evaluations}\n"
-        )
 
 
 def empirical_expected_utility(records: Sequence[EpisodeRecord]) -> float:

@@ -15,7 +15,12 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config, serialize_config
 from .experiment import (
+    CONFIG_TXT,
+    FRONTIER_CSV,
+    SUMMARY_CSV,
     compute_frontier,
+    read_frontier_csv,
+    read_summary_csv,
     run_sweep,
     write_frontier_csv,
     write_summary_csv,
@@ -25,15 +30,9 @@ from .plotting import (
     FRONTIER_FIGURE,
     PLOT_DATA_NAME,
     PLOT_SCRIPT_NAME,
-    CsvFormatError,
     generate_plot_script,
-    read_frontier_csv,
-    read_summary_csv,
     render_plot_script,
 )
-
-FRONTIER_CSV = "frontier.csv"
-SUMMARY_CSV = "summary.csv"
 
 
 class _UsageError(Exception):
@@ -78,9 +77,10 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 def _make_out_dir(path: str | Path) -> Path:
     out = Path(path)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"--out {out} exists and is not a directory")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {out} is not a directory ({exc.strerror})") from None
     return out
 
 
@@ -97,23 +97,17 @@ def cmd_baseline(cfg: ExperimentConfig, out_dir: str | Path, force: bool = False
     points = compute_frontier(cfg)
     with open(out / FRONTIER_CSV, "w", newline="\n") as fh:
         write_frontier_csv(points, fh)
-    (out / "config.txt").write_text(serialize_config(cfg))
+    (out / CONFIG_TXT).write_text(serialize_config(cfg))
     return out / FRONTIER_CSV
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: str | Path, force: bool = False) -> Path:
-    """Train every sweep cell; write per-cell episode logs and summary.csv.
-
-    Episode logs left by an earlier sweep in ``out_dir`` are removed first,
-    so the logs present afterwards are exactly this sweep's cells.
-    """
+    """Train every sweep cell; write per-cell episode logs and summary.csv."""
     out = _prepare_out_dir(out_dir, force)
-    for stale in out.glob("episodes_*.csv"):
-        stale.unlink()
     rows = run_sweep(cfg, out_dir=out)
     with open(out / SUMMARY_CSV, "w", newline="\n") as fh:
         write_summary_csv(rows, fh)
-    (out / "config.txt").write_text(serialize_config(cfg))
+    (out / CONFIG_TXT).write_text(serialize_config(cfg))
     return out / SUMMARY_CSV
 
 
@@ -130,18 +124,12 @@ def cmd_plot(
     of matplotlib (RuntimeError) still leaves them in place.
     """
     out = _make_out_dir(out_dir)
-    frontier_file = Path(frontier_path) if frontier_path else out / FRONTIER_CSV
-    summary_file = Path(summary_path) if summary_path else out / SUMMARY_CSV
-    if not frontier_file.exists():
-        raise ConfigError(f"frontier CSV not found: {frontier_file}")
-    if not summary_file.exists():
-        raise ConfigError(f"summary CSV not found: {summary_file}")
+    frontier_rows = read_frontier_csv(frontier_path or out / FRONTIER_CSV)
+    summary_rows = read_summary_csv(summary_path or out / SUMMARY_CSV)
     script_path = out / PLOT_SCRIPT_NAME
     if script_path.exists() and not force:
         raise ConfigError(f"{script_path} exists (use --force to overwrite)")
 
-    frontier_rows = read_frontier_csv(frontier_file)
-    summary_rows = read_summary_csv(summary_file)
     script_path.write_text(generate_plot_script(frontier_rows, summary_rows))
     bundle = {
         "frontier": [list(r) for r in frontier_rows],
@@ -180,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 path = cmd_run(cfg, args.out, force=args.force)
             print(path)
         return 0
-    except (ConfigError, CsvFormatError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, RuntimeError, ValueError) as exc:

@@ -1,10 +1,12 @@
-"""Sweep runner: trains one system per (kind, budget, split, replicate) cell.
+"""Sweep runner, and the one module that writes and reads brdm's files.
 
-Every cell derives its RNG from (master seed, cell index), so results do not
+The sweep trains one system per (kind, budget split, replicate) cell. Every
+cell derives its RNG from (master seed, cell index), so results do not
 depend on worker count or scheduling. Summary statistics are computed over
-the final ``summary_window`` fraction of each cell's episodes. CSV output is
-newline-terminated with 12-significant-digit floats, byte-identical across
-repeated runs of the same config.
+the final ``summary_window`` fraction of each cell's episodes. The summary
+columns are ``SummaryRow``'s fields, written and read by their types. CSV
+output is newline-terminated with 12-significant-digit floats,
+byte-identical across repeated runs of the same config.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -23,21 +25,22 @@ from .agents import (
     empirical_expected_utility,
     empirical_mutual_information,
     train_system,
-    write_episode_csv,
 )
 from .baseline import FrontierPoint, rate_distortion_curve
-from .config import ExperimentConfig, system_config, task_spec
+from .config import ConfigError, ExperimentConfig, system_config, task_spec
 from .core import make_gaussian_task, spawn_rng
 
-SUMMARY_CSV_HEADER = (
-    "agent_kind,total_steps,action_steps,replicate,"
-    "mi_bits,expected_utility,mean_delta_u,stddev_delta_u"
-)
-FRONTIER_CSV_HEADER = "beta,mi_bits,expected_utility"
+FRONTIER_CSV = "frontier.csv"
+SUMMARY_CSV = "summary.csv"
+CONFIG_TXT = "config.txt"
+
+
+class CsvFormatError(ConfigError):
+    """Unreadable or malformed input CSV, a usage error; the message names the file."""
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return format(x, ".12g")
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,14 @@ class CellSpec:
     """One sweep cell; ``index`` seeds the cell's independent RNG stream."""
 
     kind: str
-    total_steps: int
-    action_steps: int
+    budget: BudgetSplit
     replicate: int
     index: int
 
 
 class SummaryRow(NamedTuple):
+    """One ``summary.csv`` row; the fields are the columns, in order."""
+
     agent_kind: str
     total_steps: int
     action_steps: int
@@ -62,6 +66,12 @@ class SummaryRow(NamedTuple):
     stddev_delta_u: float
 
 
+SUMMARY_CSV_HEADER = ",".join(SummaryRow._fields)
+_SUMMARY_TYPES = tuple(get_type_hints(SummaryRow).values())
+FRONTIER_CSV_HEADER = "beta,mi_bits,expected_utility"
+EPISODE_CSV_HEADER = "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
+
+
 def build_cells(cfg: ExperimentConfig) -> list[CellSpec]:
     """Expand the sweep axes into cells.
 
@@ -70,32 +80,25 @@ def build_cells(cfg: ExperimentConfig) -> list[CellSpec]:
     Single-prior agents run their whole budget on the action chain, one cell
     per distinct total.
     """
-    combos: list[tuple[str, int, int]] = []
-    if "single" in cfg.agent_kinds:
-        for total in sorted(set(cfg.total_steps)):
-            combos.append(("single", total, total))
-    if "multi" in cfg.agent_kinds:
-        for total in sorted(set(cfg.total_steps)):
+    combos: list[tuple[str, BudgetSplit]] = []
+    for total in set(cfg.total_steps):
+        if "single" in cfg.agent_kinds:
+            combos.append(("single", BudgetSplit(total, 0)))
+        if "multi" in cfg.agent_kinds:
             if cfg.selection_steps:
-                sels = sorted({s for s in cfg.selection_steps if s <= total})
+                sels = {s for s in cfg.selection_steps if s <= total}
+                combos += [("multi", BudgetSplit(total, s)) for s in sels]
             else:
-                sels = [BudgetSplit.fraction(total, cfg.selection_fraction).selection_steps]
-            for sel in sels:
-                combos.append(("multi", total, total - sel))
-    combos.sort()
-    cells = []
-    index = 0
-    for kind, total, action in combos:
-        for rep in range(cfg.replicates):
-            cells.append(CellSpec(kind, total, action, rep, index))
-            index += 1
-    return cells
+                combos.append(("multi", BudgetSplit.fraction(total, cfg.selection_fraction)))
+    combos.sort(key=lambda c: (c[0], c[1].total_steps, c[1].action_steps))
+    layout = [(kind, budget, rep) for kind, budget in combos for rep in range(cfg.replicates)]
+    return [CellSpec(*cell, index) for index, cell in enumerate(layout)]
 
 
 def episode_log_name(cell: CellSpec) -> str:
     return (
-        f"episodes_{cell.kind}_t{cell.total_steps}"
-        f"_a{cell.action_steps}_r{cell.replicate}.csv"
+        f"episodes_{cell.kind}_t{cell.budget.total_steps}"
+        f"_a{cell.budget.action_steps}_r{cell.replicate}.csv"
     )
 
 
@@ -104,8 +107,7 @@ def run_cell(
 ) -> SummaryRow:
     """Train one system and summarize its final episode window."""
     world = make_gaussian_task(task_spec(cfg))
-    budget = BudgetSplit(cell.total_steps, cell.total_steps - cell.action_steps)
-    sys_cfg = system_config(cfg, cell.kind, budget)
+    sys_cfg = system_config(cfg, cell.kind, cell.budget)
     rng = spawn_rng(cfg.seed, cell.index)
     # Diverging VAE weights overflow to inf and NaN; the summary's
     # non-finite check reports that once, in place of numpy's warnings.
@@ -124,8 +126,8 @@ def summarize_records(
     deltas = np.array([r.delta_u for r in window])
     return SummaryRow(
         agent_kind=cell.kind,
-        total_steps=cell.total_steps,
-        action_steps=cell.action_steps,
+        total_steps=cell.budget.total_steps,
+        action_steps=cell.budget.action_steps,
         replicate=cell.replicate,
         mi_bits=empirical_mutual_information(window, cfg.mi_bins),
         expected_utility=empirical_expected_utility(window),
@@ -134,30 +136,48 @@ def summarize_records(
     )
 
 
-def _run_cell_task(args: tuple[ExperimentConfig, CellSpec, str | None]) -> SummaryRow:
+def _run_cell_task(args: tuple[ExperimentConfig, CellSpec, str | Path | None]) -> SummaryRow:
     return run_cell(*args)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[SummaryRow]:
-    """Run all cells, at most one pool worker per cell; rows come back in cell order."""
+    """Run all cells, at most one pool worker per cell; rows come back in cell order.
+
+    Each cell's episode log goes to ``out_dir``, whose earlier logs are removed first.
+    """
     cells = build_cells(cfg)
     # a fork pool starts every worker up front, so none beyond the cell count
     workers = min(cfg.workers or os.cpu_count() or 1, len(cells))
-    out = str(out_dir) if out_dir is not None else None
+    if out_dir is not None:
+        for stale in Path(out_dir).glob("episodes_*.csv"):
+            stale.unlink()
     if workers <= 1:
-        return [run_cell(cfg, cell, out) for cell in cells]
+        return [run_cell(cfg, cell, out_dir) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell_task, [(cfg, cell, out) for cell in cells]))
+        return list(pool.map(_run_cell_task, [(cfg, cell, out_dir) for cell in cells]))
+
+
+def _component_str(a: np.ndarray) -> str:
+    return ";".join(map(_fmt, a.tolist()))
+
+
+def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:
+    """Episode log export; actions with d > 1 join components with ';'."""
+    out.write(EPISODE_CSV_HEADER + "\n")
+    for i, r in enumerate(records):
+        out.write(
+            f"{i},{r.world},{r.selected_prior},{_component_str(r.seed_action)},"
+            f"{_component_str(r.decision)},{_fmt(r.utility)},"
+            f"{_fmt(r.seed_utility)},{r.utility_evaluations}\n"
+        )
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], out: IO[str]) -> None:
+    """One line per row; float fields in 12 significant digits, the rest as str."""
     out.write(SUMMARY_CSV_HEADER + "\n")
     for r in rows:
-        out.write(
-            f"{r.agent_kind},{r.total_steps},{r.action_steps},{r.replicate},"
-            f"{_fmt(r.mi_bits)},{_fmt(r.expected_utility)},"
-            f"{_fmt(r.mean_delta_u)},{_fmt(r.stddev_delta_u)}\n"
-        )
+        cols = (_fmt(v) if t is float else str(v) for t, v in zip(_SUMMARY_TYPES, r))
+        out.write(",".join(cols) + "\n")
 
 
 def compute_frontier(cfg: ExperimentConfig) -> list[FrontierPoint]:
@@ -177,3 +197,37 @@ def write_frontier_csv(points: Sequence[FrontierPoint], out: IO[str]) -> None:
         if flag_column:
             row += f",{int(p.converged)}"
         out.write(row + "\n")
+
+
+def read_frontier_csv(path: str | Path) -> list[tuple]:
+    """Rows of (beta, mi_bits, expected_utility[, converged])."""
+    parsers = (float, float, float, lambda v: bool(int(v)))
+    return _read_csv(path, parsers, FRONTIER_CSV_HEADER, FRONTIER_CSV_HEADER + ",converged")
+
+
+def read_summary_csv(path: str | Path) -> list[SummaryRow]:
+    """``SummaryRow``s, each field parsed by its annotation."""
+    return [SummaryRow(*row) for row in _read_csv(path, _SUMMARY_TYPES, SUMMARY_CSV_HEADER)]
+
+
+def _read_csv(path, parsers, *headers) -> list[tuple]:
+    """Rows parsed column by column; the header must be one of ``headers``."""
+    try:
+        lines = Path(path).read_text().splitlines() or [""]
+    except OSError as exc:
+        raise CsvFormatError(f"cannot read {path}: {exc.strerror}") from None
+    if lines[0] not in headers:
+        raise CsvFormatError(f"{path}: line 1: unexpected header {lines[0]!r}")
+    width = lines[0].count(",") + 1
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise CsvFormatError(f"{path}: line {line_no}: expected {width} fields, got {len(parts)}")
+        try:
+            rows.append(tuple(parse(v) for parse, v in zip(parsers, parts)))
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}: line {line_no}: {exc}") from None
+    return rows

@@ -1,11 +1,12 @@
 """Figure generation for the frontier and utility-gain panels.
 
 ``generate_plot_script`` emits a self-contained matplotlib script that
-embeds the CSV data as literals; regenerating from identical inputs gives
-byte-identical text. ``render_plot_script`` executes that script so the
-rendered PNGs always match what the standalone script would produce.
+embeds the rows of the frontier and summary CSVs (read by
+:mod:`brdm.experiment`) as literals; regenerating from identical inputs
+gives byte-identical text. ``render_plot_script`` executes that script so
+the rendered PNGs always match what the standalone script would produce.
 Only rendering needs matplotlib (the ``plot`` extra); generating the script
-and reading the CSVs do not.
+does not.
 """
 
 from __future__ import annotations
@@ -18,67 +19,6 @@ FRONTIER_FIGURE = "efficiency_frontier.png"
 DELTA_FIGURE = "delta_u_vs_budget.png"
 PLOT_SCRIPT_NAME = "plot_figures.py"
 PLOT_DATA_NAME = "plot_data.json"
-
-
-class CsvFormatError(Exception):
-    """Malformed CSV input; message carries the offending line number."""
-
-
-def read_frontier_csv(path: str | Path) -> list[tuple]:
-    """Rows of (beta, mi_bits, expected_utility[, converged])."""
-    return _read_csv(
-        path,
-        base_fields=["beta", "mi_bits", "expected_utility"],
-        optional_fields=["converged"],
-        parsers=[float, float, float, lambda v: bool(int(v))],
-    )
-
-
-def read_summary_csv(path: str | Path) -> list[tuple]:
-    """Rows of (kind, total, action, replicate, mi, eu, mean_du, std_du)."""
-    return _read_csv(
-        path,
-        base_fields=[
-            "agent_kind",
-            "total_steps",
-            "action_steps",
-            "replicate",
-            "mi_bits",
-            "expected_utility",
-            "mean_delta_u",
-            "stddev_delta_u",
-        ],
-        optional_fields=[],
-        parsers=[str, int, int, int, float, float, float, float],
-    )
-
-
-def _read_csv(path, base_fields, optional_fields, parsers):
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise CsvFormatError(f"{path}: line 1: empty file")
-    header = lines[0].split(",")
-    for extra in range(len(optional_fields) + 1):
-        if header == base_fields + optional_fields[:extra]:
-            width = len(base_fields) + extra
-            break
-    else:
-        raise CsvFormatError(f"{path}: line 1: unexpected header {lines[0]!r}")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise CsvFormatError(
-                f"{path}: line {line_no}: expected {width} fields, got {len(parts)}"
-            )
-        try:
-            rows.append(tuple(parse(v) for parse, v in zip(parsers, parts)))
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}: line {line_no}: {exc}") from None
-    return rows
 
 
 _SCRIPT_PREAMBLE = '''#!/usr/bin/env python3

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brdm.agents import (
-    _component_str,
     BudgetSplit,
     DecisionSystem,
     EpisodeRecord,
@@ -13,11 +12,10 @@ from brdm.agents import (
     empirical_expected_utility,
     empirical_mutual_information,
     train_system,
-    write_episode_csv,
-    EPISODE_CSV_HEADER,
 )
 from brdm.baseline import expected_utility, mutual_information, solve_single_stage
 from brdm.core import WorldModel, make_rng
+from brdm.experiment import EPISODE_CSV_HEADER, _component_str, write_episode_csv
 from brdm.vae import VaeArch, zero_vae
 
 
@@ -194,6 +192,15 @@ def test_component_str_matches_reference_implementation():
     cases += [rng.uniform(0.0, 1.0, size=d) for d in (1, 2) for _ in range(500)]
     for a in cases:
         assert _component_str(a) == _reference_component_str(a)
+
+
+def test_system_rejects_priors_of_another_action_dim():
+    world = WorldModel(num_worlds=2, rho=[0.5, 0.5], utility=lambda w, a: a[0] * a[1], action_dim=2)
+    with pytest.raises(ValueError, match="input_dim = 1 .*action_dim = 2"):
+        DecisionSystem(world, SystemConfig(), make_rng(0))
+    cfg = SystemConfig(num_priors=2, budget=BudgetSplit(6, 2), vae=VaeArch(input_dim=2))
+    _, recs = train_system(world, cfg, 5, make_rng(0))
+    assert all(r.decision.shape == (2,) for r in recs)
 
 
 def _reference_draw_world(rho, rng):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -28,18 +29,17 @@ from brdm.vae import VaeArch
 from brdm.experiment import (
     FRONTIER_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    CsvFormatError,
+    SummaryRow,
     build_cells,
+    read_frontier_csv,
+    read_summary_csv,
     run_sweep,
     write_frontier_csv,
     write_summary_csv,
 )
 from brdm.baseline import FrontierPoint
-from brdm.plotting import (
-    CsvFormatError,
-    generate_plot_script,
-    read_frontier_csv,
-    read_summary_csv,
-)
+from brdm.plotting import generate_plot_script
 
 
 def small_config(**kw):
@@ -126,7 +126,7 @@ def test_config_missing_file():
 def test_build_cells_layout():
     cfg = small_config(agent_kinds=("single", "multi"), total_steps=(12, 20), replicates=2)
     cells = build_cells(cfg)
-    kinds = {(c.kind, c.total_steps, c.action_steps) for c in cells}
+    kinds = {(c.kind, c.budget.total_steps, c.budget.action_steps) for c in cells}
     # single runs its whole budget on the action chain
     assert ("single", 12, 12) in kinds and ("single", 20, 20) in kinds
     # multi pairs each total with the feasible splits
@@ -139,7 +139,7 @@ def test_build_cells_fraction_rule():
     cfg = small_config(selection_steps=(), selection_fraction=0.25, total_steps=(100,))
     cells = build_cells(cfg)
     multi = [c for c in cells if c.kind == "multi"]
-    assert all(c.action_steps == 75 for c in multi)
+    assert all(c.budget.action_steps == 75 for c in multi)
 
 
 def test_run_sweep_rows_and_worker_independence(tmp_path):
@@ -189,6 +189,12 @@ def test_summary_csv_format(tmp_path):
     parsed = read_summary_csv(out)
     assert len(parsed) == len(rows)
     assert parsed[0][0] == "single"
+    # every field comes back with its declared type, floats as their .12g text
+    for row, back in zip(rows, parsed):
+        for name, kind in get_type_hints(SummaryRow).items():
+            value = getattr(row, name)
+            assert type(getattr(back, name)) is kind
+            assert getattr(back, name) == (float(format(value, ".12g")) if kind is float else value)
 
 
 def test_frontier_csv_flags_only_when_needed(tmp_path):
@@ -346,6 +352,14 @@ def test_read_csv_reports_line_numbers(tmp_path):
     bad.write_text("wrong,header\n")
     with pytest.raises(CsvFormatError, match="line 1"):
         read_frontier_csv(bad)
+    bad.write_text("beta,mi_bits,expected_utility,extra\n1.0,0.5,0.6,1\n")
+    with pytest.raises(CsvFormatError, match="line 1"):
+        read_frontier_csv(bad)
+    summary = tmp_path / "summary.csv"
+    short_header = SUMMARY_CSV_HEADER.rsplit(",", 1)[0]
+    summary.write_text(f"{short_header}\nsingle,12,12,0,0.5,0.6,0.1\n")
+    with pytest.raises(CsvFormatError, match="line 1"):
+        read_summary_csv(summary)
 
 
 def test_main_exit_codes(tmp_path):
@@ -364,17 +378,19 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 1\n")
     assert main(["run", "--config", str(bad)]) == 1
-    # plot without inputs is a usage error
+    # plot without inputs, or with a directory as an input CSV, is a usage error
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 1
+    assert main(["plot", "--out", str(out), "--summary", str(tmp_path), "--no-render"]) == 1
 
 
 @pytest.mark.parametrize("command", ["baseline", "run", "plot"])
 def test_out_naming_a_file_exits_1_and_keeps_the_file(tmp_path, capsys, command):
     blocked = tmp_path / "blocked"
     blocked.write_text("file, not dir")
-    assert main([command, "--out", str(blocked)]) == 1
-    assert capsys.readouterr().err.startswith("error: --out")
-    assert blocked.read_text() == "file, not dir"
+    for out in (blocked, blocked / "sub"):
+        assert main([command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --out")
+        assert blocked.read_text() == "file, not dir"
 
 
 # values that a domain type rejects, and the output directory, which is only --out
