@@ -151,9 +151,7 @@ class DecisionSystem:
         self.cfg = cfg
         self.rng = rng
         bank = np.empty((cfg.num_priors, param_count(cfg.vae)))
-        self.vaes: tuple[VaePrior, ...] = tuple(
-            init_vae(cfg.vae, self.rng, cfg.step_size, row) for row in bank
-        )
+        self.vaes: tuple[VaePrior, ...] = tuple(init_vae(cfg.vae, self.rng, row) for row in bank)
         self._stack = VaePrior(cfg.vae, bank)
         self.buffers = [
             _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
@@ -221,7 +219,8 @@ class DecisionSystem:
         buf = self.buffers[x]
         if len(buf) == 0:
             return
-        train_step(self.vaes[x], buf.sample(self.cfg.batch_size, self.rng), self.rng)
+        batch = buf.sample(self.cfg.batch_size, self.rng)
+        train_step(self.vaes[x], batch, self.cfg.step_size, self.rng)
 
 
 def train_system(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -75,12 +76,19 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return load_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _make_out_dir(path: str | Path) -> Path:
+def _out_path(path: str | Path) -> Path:
+    """``--out`` as a path; a usage error if it, or the nearest existing path above it, is a file."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"--out {out} is not a directory ({exc.strerror})") from None
+    for existing in (p for p in (out, *out.parents) if os.path.lexists(p)):
+        if not existing.is_dir():
+            raise ConfigError(f"--out {out} is not a directory ({existing} is a file)")
+        break
+    return out
+
+
+def _make_out_dir(path: str | Path) -> Path:
+    out = _out_path(path)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -120,16 +128,18 @@ def cmd_plot(
 ) -> Path:
     """Generate the plot script and data bundle; render PNGs unless disabled.
 
-    The script and bundle are written first, so a render that fails for want
+    ``out_dir`` is created only once both input CSVs have been read. The
+    script and bundle are written first, so a render that fails for want
     of matplotlib (RuntimeError) still leaves them in place.
     """
-    out = _make_out_dir(out_dir)
+    out = _out_path(out_dir)
     frontier_rows = read_frontier_csv(frontier_path or out / FRONTIER_CSV)
     summary_rows = read_summary_csv(summary_path or out / SUMMARY_CSV)
     script_path = out / PLOT_SCRIPT_NAME
     if script_path.exists() and not force:
         raise ConfigError(f"{script_path} exists (use --force to overwrite)")
 
+    _make_out_dir(out)
     script_path.write_text(generate_plot_script(frontier_rows, summary_rows))
     bundle = {
         "frontier": [list(r) for r in frontier_rows],

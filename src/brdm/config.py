@@ -65,7 +65,6 @@ class ExperimentConfig:
     hidden_dim: int = 16
     latent_dim: int = 2
     decoder_variance: float = 0.01
-    hidden_activation: str = "relu"
     step_size: float = 0.01
     buffer_size: int = 256
     batch_size: int = 32

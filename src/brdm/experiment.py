@@ -11,6 +11,7 @@ byte-identical across repeated runs of the same config.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -210,12 +211,26 @@ def read_summary_csv(path: str | Path) -> list[SummaryRow]:
     return [SummaryRow(*row) for row in _read_csv(path, _SUMMARY_TYPES, SUMMARY_CSV_HEADER)]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _read_csv(path, parsers, *headers) -> list[tuple]:
-    """Rows parsed column by column; the header must be one of ``headers``."""
+    """Rows parsed column by column; the header must be one of ``headers``.
+
+    brdm writes only finite floats, so a NaN or infinite float field is
+    malformed, like one that is not a number.
+    """
     try:
         lines = Path(path).read_text().splitlines() or [""]
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    parsers = [_finite_float if parse is float else parse for parse in parsers]
     if lines[0] not in headers:
         raise CsvFormatError(f"{path}: line 1: unexpected header {lines[0]!r}")
     width = lines[0].count(",") + 1

@@ -3,17 +3,18 @@
 The encoder maps an action to a diagonal Gaussian over the latent space
 (linear mean head, rectified variance head with a small floor so the KL
 stays finite); the decoder maps a latent back to an action mean squashed
-into (0, 1)^d with a fixed output variance. Both nets have one hidden
-layer. Training ascends the single-noise-sample bound
+into (0, 1)^d with a fixed output variance. Both nets have one ReLU
+hidden layer. Training ascends the single-noise-sample bound
 
     elbo = -||a - decode(z)||^2 / (2 sigma^2) - KL(N(mu, var) || N(0, I)),
     z = mu + sqrt(var) * xi,  xi ~ N(0, I),
 
-with plain fixed-step gradient ascent. The constant Gaussian log-normalizer
-is dropped from the reconstruction term. Gradients are exact for this
-objective (reparameterization path included), which keeps them checkable
-against finite differences. The terms of an :class:`ElboReport` are
-computed only when they are read.
+with plain gradient ascent; the step size is an argument of
+:func:`train_step`, not a property of the prior. The constant Gaussian
+log-normalizer is dropped from the reconstruction term. Gradients are exact
+for this objective (reparameterization path included), which keeps them
+checkable against finite differences. The terms of an :class:`ElboReport`
+are computed only when they are read.
 
 A trained prior generates actions by decoding latents drawn from N(0, I).
 
@@ -40,21 +41,18 @@ VAR_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class VaeArch:
-    """Layer sizes, fixed decoder variance, and the hidden nonlinearity."""
+    """Layer sizes and the fixed decoder variance."""
 
     input_dim: int = 1
     hidden_dim: int = 16
     latent_dim: int = 2
     decoder_variance: float = 0.01
-    hidden_activation: str = "relu"
 
     def __post_init__(self):
         if min(self.input_dim, self.hidden_dim, self.latent_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
         if not self.decoder_variance > 0.0:
             raise ValueError("decoder_variance must be positive")
-        if self.hidden_activation not in ("relu", "sigmoid"):
-            raise ValueError("hidden_activation must be 'relu' or 'sigmoid'")
 
 
 def _shapes(arch: VaeArch) -> dict[str, tuple[int, ...]]:
@@ -95,14 +93,13 @@ class VaePrior:
     """Encoder/decoder weights acting as a sampleable prior over actions.
 
     ``params`` holds named C-contiguous views into ``flat``, and ``grads``
-    the same views into ``grad``, which :func:`_backprop` fills. With a
+    the same views into ``grad``, which :func:`elbo_gradients` fills. With a
     ``flat`` of shape (P, K) every view gains a leading axis of length P:
     the object is then a stack of P priors, used for decoding only.
     """
 
     arch: VaeArch
     flat: np.ndarray
-    step_size: float = 0.01
     train_steps: int = 0
     params: dict[str, np.ndarray] = field(init=False, repr=False)
     grad: np.ndarray = field(init=False, repr=False)
@@ -148,10 +145,7 @@ class ElboReport:
 
 
 def init_vae(
-    arch: VaeArch,
-    rng: np.random.Generator,
-    step_size: float = 0.01,
-    flat: np.ndarray | None = None,
+    arch: VaeArch, rng: np.random.Generator, flat: np.ndarray | None = None
 ) -> VaePrior:
     """Random small weights, zero biases except a unit variance-head bias.
 
@@ -160,7 +154,7 @@ def init_vae(
     (for example one row of a parameter bank) when it is given.
     """
     d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
-    prior = zero_vae(arch, step_size, flat)
+    prior = zero_vae(arch, flat)
     p = prior.params
     p["enc_w1"][...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(h, d))
     p["enc_wmu"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h))
@@ -171,15 +165,13 @@ def init_vae(
     return prior
 
 
-def zero_vae(
-    arch: VaeArch, step_size: float = 0.01, flat: np.ndarray | None = None
-) -> VaePrior:
+def zero_vae(arch: VaeArch, flat: np.ndarray | None = None) -> VaePrior:
     """All-zero weights; encodes to (0, floor) and decodes everything to 0.5."""
     if flat is None:
         flat = np.zeros(param_count(arch))
     else:
         flat[...] = 0.0
-    return VaePrior(arch=arch, flat=flat, step_size=step_size)
+    return VaePrior(arch=arch, flat=flat)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -188,23 +180,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-def _hidden(pre: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(pre, 0.0)
-    return _sigmoid(pre)
-
-
-def _hidden_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return pre > 0.0  # a boolean factor multiplies as 1.0 or 0.0
-    return post * (1.0 - post)
-
-
 def _encode_batch(prior: VaePrior, batch: np.ndarray):
     p = prior.params
-    act = prior.arch.hidden_activation
     he_pre = batch @ p["enc_w1"].T + p["enc_b1"]
-    he = _hidden(he_pre, act)
+    he = np.maximum(he_pre, 0.0)
     mu = he @ p["enc_wmu"].T + p["enc_bmu"]
     var_pre = he @ p["enc_wvar"].T + p["enc_bvar"]
     var = np.maximum(var_pre, 0.0) + VAR_FLOOR
@@ -214,9 +193,8 @@ def _encode_batch(prior: VaePrior, batch: np.ndarray):
 def _decode_batch(prior: VaePrior, z: np.ndarray):
     """Decoder pass over latents (n, latent); a stack of P priors takes (P, n, latent)."""
     p = prior.params
-    act = prior.arch.hidden_activation
     hd_pre = z @ p["dec_w1"].swapaxes(-1, -2) + p["dec_b1"][..., None, :]
-    hd = _hidden(hd_pre, act)
+    hd = np.maximum(hd_pre, 0.0)
     out = _sigmoid(hd @ p["dec_wout"].swapaxes(-1, -2) + p["dec_bout"][..., None, :])
     return hd_pre, hd, out
 
@@ -254,21 +232,21 @@ def elbo_given_noise(
     return ElboReport(batch - out, mu, var, prior.arch.decoder_variance)
 
 
-def _backprop(
+def elbo_gradients(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact ascent gradients of the fixed-noise bound, written into ``prior.grad``.
+) -> tuple[ElboReport, dict[str, np.ndarray]]:
+    """Value and exact ascent gradients of the fixed-noise bound.
 
     Backpropagates the reconstruction term through the decoder and the
     reparameterized z into the encoder, and adds the closed-form KL
     gradients d/dmu = mu, d/dvar = (1 - 1/var) / 2 on the encoder heads.
-    Returns the residual ``batch - decode(z)`` and the posterior means and
-    variances, fresh arrays that an :class:`ElboReport` turns into the
-    bound's terms.
+    The ReLU masks (pre-activation > 0) multiply as 1.0 or 0.0. The
+    gradients are written into ``prior.grad`` and returned as its named
+    views ``prior.grads``, which the next call overwrites.
     """
     p, g = prior.params, prior.grads
-    act = prior.arch.hidden_activation
     sigma2 = prior.arch.decoder_variance
+    batch = np.asarray(batch, dtype=float)
 
     he_pre, he, mu, var_pre, var = _encode_batch(prior, batch)
     sd = np.sqrt(var)
@@ -280,7 +258,7 @@ def _backprop(
     d_out_pre = (resid / sigma2 * scale) * out * (1.0 - out)
     np.matmul(d_out_pre.T, hd, out=g["dec_wout"])
     d_out_pre.sum(axis=0, out=g["dec_bout"])
-    d_hd_pre = (d_out_pre @ p["dec_wout"]) * _hidden_grad(hd_pre, hd, act)
+    d_hd_pre = (d_out_pre @ p["dec_wout"]) * (hd_pre > 0.0)
     np.matmul(d_hd_pre.T, z, out=g["dec_w1"])
     d_hd_pre.sum(axis=0, out=g["dec_b1"])
 
@@ -294,35 +272,20 @@ def _backprop(
     np.matmul(d_var_pre.T, he, out=g["enc_wvar"])
     d_var_pre.sum(axis=0, out=g["enc_bvar"])
 
-    d_he_pre = (d_mu @ p["enc_wmu"] + d_var_pre @ p["enc_wvar"]) * _hidden_grad(
-        he_pre, he, act
-    )
+    d_he_pre = (d_mu @ p["enc_wmu"] + d_var_pre @ p["enc_wvar"]) * (he_pre > 0.0)
     np.matmul(d_he_pre.T, batch, out=g["enc_w1"])
     d_he_pre.sum(axis=0, out=g["enc_b1"])
-    return resid, mu, var
-
-
-def elbo_gradients(
-    prior: VaePrior, batch: np.ndarray, xi: np.ndarray
-) -> tuple[ElboReport, dict[str, np.ndarray]]:
-    """Value and exact ascent gradients of the fixed-noise bound.
-
-    The gradients are written into ``prior.grad`` and returned as its named
-    views ``prior.grads``, which the next call overwrites.
-    """
-    terms = _backprop(prior, np.asarray(batch, dtype=float), xi)
-    return ElboReport(*terms, prior.arch.decoder_variance), prior.grads
+    return ElboReport(resid, mu, var, sigma2), g
 
 
 def train_step(
-    prior: VaePrior, batch: np.ndarray, rng: np.random.Generator
+    prior: VaePrior, batch: np.ndarray, step_size: float, rng: np.random.Generator
 ) -> ElboReport:
-    """One fixed-step gradient ascent update on a fresh single-noise bound."""
-    batch = np.asarray(batch, dtype=float)
-    xi = rng.standard_normal((batch.shape[0], prior.arch.latent_dim))
-    report = ElboReport(*_backprop(prior, batch, xi), prior.arch.decoder_variance)
-    if prior.step_size != 0.0:
-        prior.flat += prior.step_size * prior.grad
+    """One gradient ascent update of size ``step_size`` on a fresh single-noise bound."""
+    xi = rng.standard_normal((len(batch), prior.arch.latent_dim))
+    report, _ = elbo_gradients(prior, batch, xi)
+    if step_size != 0.0:
+        prior.flat += step_size * prior.grad
     prior.train_steps += 1
     return report
 

@@ -78,7 +78,7 @@ def frontier(task):
 
 
 def _sweep_config(**kw):
-    cfg = ExperimentConfig(replicates=20, workers=1, **kw)
+    cfg = ExperimentConfig(replicates=20, **kw)
     validate_config(cfg)
     return cfg
 

@@ -102,6 +102,17 @@ def test_train_system_updates_counts_and_buffers(gaussian_task):
     assert all(v.train_steps >= 1 for v in system.vaes if v.train_steps)
 
 
+@pytest.mark.parametrize("step_size", [0.0, 0.01])
+def test_step_size_reaches_training(gaussian_task, step_size):
+    cfg = SystemConfig(num_priors=3, budget=BudgetSplit(12, 4), step_size=step_size)
+    initial = DecisionSystem(gaussian_task, cfg, make_rng(4)).vaes
+    system, _ = train_system(gaussian_task, cfg, 60, make_rng(4))
+    assert all(v.train_steps for v in system.vaes)
+    for before, after in zip(initial, system.vaes):
+        # a zero step freezes each bank row; the default step moves every one
+        assert (after.flat.tobytes() == before.flat.tobytes()) == (step_size == 0.0)
+
+
 def test_train_system_zero_episodes(gaussian_task):
     cfg = SystemConfig(num_priors=1, budget=BudgetSplit(10, 0))
     system, recs = train_system(gaussian_task, cfg, 0, make_rng(0))

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -360,6 +361,14 @@ def test_read_csv_reports_line_numbers(tmp_path):
     summary.write_text(f"{short_header}\nsingle,12,12,0,0.5,0.6,0.1\n")
     with pytest.raises(CsvFormatError, match="line 1"):
         read_summary_csv(summary)
+    # brdm never writes a non-finite float, and a plot script cannot embed one
+    rows = ["single,12,12,0,0.5,0.6,0.1,0.2", "single,12,12,1,nan,0.6,0.1,0.2"]
+    summary.write_text("\n".join([SUMMARY_CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{summary}: line 3: non-finite")):
+        read_summary_csv(summary)
+    bad.write_text("beta,mi_bits,expected_utility\n1.0,0.5,-inf\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{bad}: line 2: non-finite")):
+        read_frontier_csv(bad)
 
 
 def test_main_exit_codes(tmp_path):
@@ -378,9 +387,20 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 1\n")
     assert main(["run", "--config", str(bad)]) == 1
-    # plot without inputs, or with a directory as an input CSV, is a usage error
+    # plot without inputs, or with a directory or non-UTF-8 bytes as an input CSV,
+    # is a usage error
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 1
     assert main(["plot", "--out", str(out), "--summary", str(tmp_path), "--no-render"]) == 1
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    assert main(["plot", "--out", str(out), "--summary", str(binary), "--no-render"]) == 1
+
+
+def test_plot_reads_its_inputs_before_creating_out(tmp_path, capsys):
+    new = tmp_path / "new"
+    assert main(["plot", "--out", str(new), "--no-render"]) == 1
+    assert "cannot read" in capsys.readouterr().err
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("command", ["baseline", "run", "plot"])
@@ -526,7 +546,6 @@ NON_DEFAULT_SHARED = dict(
     hidden_dim=8,
     latent_dim=3,
     decoder_variance=0.02,
-    hidden_activation="sigmoid",
     step_size=0.005,
     buffer_size=128,
     batch_size=16,
