@@ -48,7 +48,7 @@ class BudgetSplit:
         return self.total_steps - self.selection_steps
 
     @staticmethod
-    def fraction(total_steps: int, selection_fraction: float = 0.25) -> "BudgetSplit":
+    def fraction(total_steps: int, selection_fraction: float) -> "BudgetSplit":
         """Round a fraction of the budget onto the selection chain."""
         return BudgetSplit(total_steps, int(round(selection_fraction * total_steps)))
 
@@ -244,7 +244,7 @@ def empirical_expected_utility(records: Sequence[EpisodeRecord]) -> float:
     return sum(r.utility for r in records) / len(records)
 
 
-def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int = 100) -> float:
+def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int) -> float:
     """Plug-in I(W;A) in bits from decisions histogrammed into equal slices."""
     if not records:
         raise ValueError("empty episode log")

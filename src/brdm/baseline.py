@@ -72,7 +72,6 @@ class DiscretePolicy:
 class TwoStageSolution:
     """The five coupled quantities of the two-stage fixed point."""
 
-    num_priors: int
     px_given_w: np.ndarray
     px: np.ndarray
     pa_given_wx: np.ndarray
@@ -311,7 +310,7 @@ def solve_two_stage(
     state, *status = _iterate(
         sweep, (px_given_w, px, pa_given_wx, pa_given_x, delta_f), tol, max_iter
     )
-    return TwoStageSolution(num_priors, *state, beta1, beta2, grid, *status)
+    return TwoStageSolution(*state, beta1, beta2, grid, *status)
 
 
 def two_stage_residuals(world: WorldModel, sol: TwoStageSolution) -> dict[str, float]:

@@ -86,14 +86,9 @@ def _out_path(path: str | Path) -> Path:
     return out
 
 
-def _make_out_dir(path: str | Path) -> Path:
+def _prepare_out_dir(path: str | Path, force: bool) -> Path:
     out = _out_path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _prepare_out_dir(path: str | Path, force: bool) -> Path:
-    out = _make_out_dir(path)
     if any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
     return out
@@ -139,7 +134,7 @@ def cmd_plot(
     if script_path.exists() and not force:
         raise ConfigError(f"{script_path} exists (use --force to overwrite)")
 
-    _make_out_dir(out)
+    out.mkdir(parents=True, exist_ok=True)
     script_path.write_text(generate_plot_script(frontier_rows, summary_rows))
     bundle = {
         "frontier": [list(r) for r in frontier_rows],

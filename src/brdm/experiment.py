@@ -28,7 +28,7 @@ from .agents import (
     train_system,
 )
 from .baseline import FrontierPoint, rate_distortion_curve
-from .config import ConfigError, ExperimentConfig, system_config, task_spec
+from .config import AGENT_KINDS, ConfigError, ExperimentConfig, system_config, task_spec
 from .core import make_gaussian_task, spawn_rng
 
 FRONTIER_CSV = "frontier.csv"
@@ -202,13 +202,13 @@ def write_frontier_csv(points: Sequence[FrontierPoint], out: IO[str]) -> None:
 
 def read_frontier_csv(path: str | Path) -> list[tuple]:
     """Rows of (beta, mi_bits, expected_utility[, converged])."""
-    parsers = (float, float, float, lambda v: bool(int(v)))
-    return _read_csv(path, parsers, FRONTIER_CSV_HEADER, FRONTIER_CSV_HEADER + ",converged")
+    parsers = (float, float, float, _converged)
+    return _read_csv(path, parsers, tuple, FRONTIER_CSV_HEADER, FRONTIER_CSV_HEADER + ",converged")
 
 
 def read_summary_csv(path: str | Path) -> list[SummaryRow]:
-    """``SummaryRow``s, each field parsed by its annotation."""
-    return [SummaryRow(*row) for row in _read_csv(path, _SUMMARY_TYPES, SUMMARY_CSV_HEADER)]
+    """``SummaryRow``s, each field parsed by its annotation, each row a possible sweep cell."""
+    return _read_csv(path, _SUMMARY_TYPES, _summary_row, SUMMARY_CSV_HEADER)
 
 
 def _finite_float(text: str) -> float:
@@ -218,11 +218,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _read_csv(path, parsers, *headers) -> list[tuple]:
-    """Rows parsed column by column; the header must be one of ``headers``.
+def _converged(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"converged must be 0 or 1, not {text!r}")
+    return text == "1"
 
-    brdm writes only finite floats, so a NaN or infinite float field is
-    malformed, like one that is not a number.
+
+def _summary_row(fields: list) -> SummaryRow:
+    row = SummaryRow(*fields)
+    if row.agent_kind not in AGENT_KINDS:
+        raise ValueError(f"agent_kind must be one of {AGENT_KINDS}, not {row.agent_kind!r}")
+    if row.total_steps < 1 or row.replicate < 0 or not 0 <= row.action_steps <= row.total_steps:
+        raise ValueError("need total_steps >= 1, 0 <= action_steps <= total_steps, replicate >= 0")
+    return row
+
+
+def _read_csv(path, parsers, make_row, *headers) -> list:
+    """Rows built by ``make_row`` from parsed fields; the header must be one of ``headers``.
+
+    brdm writes only finite floats and values in range, so a NaN or infinite
+    float field, or a row that ``make_row`` rejects, is malformed.
     """
     try:
         lines = Path(path).read_text().splitlines() or [""]
@@ -242,7 +257,7 @@ def _read_csv(path, parsers, *headers) -> list[tuple]:
         if len(parts) != width:
             raise CsvFormatError(f"{path}: line {line_no}: expected {width} fields, got {len(parts)}")
         try:
-            rows.append(tuple(parse(v) for parse, v in zip(parsers, parts)))
+            rows.append(make_row([parse(v) for parse, v in zip(parsers, parts)]))
         except ValueError as exc:
             raise CsvFormatError(f"{path}: line {line_no}: {exc}") from None
     return rows

@@ -73,17 +73,10 @@ class SelectionConfig:
             raise ValueError("utility_samples must be >= 1")
 
 
-def anneal_gamma(k: float, gamma0: float, alpha: float) -> float:
-    """Precision after k steps: gamma0 + alpha * ln(1 + k)."""
-    if k < 0:
-        raise ValueError("step index must be >= 0")
-    return gamma0 + alpha * math.log1p(k)
-
-
 @functools.lru_cache(maxsize=64)
 def anneal_schedule(gamma0: float, alpha: float, steps: int) -> tuple[float, ...]:
-    """``anneal_gamma`` at steps 0 .. steps - 1, built once per argument triple."""
-    return tuple(anneal_gamma(k, gamma0, alpha) for k in range(steps))
+    """Precision gamma0 + alpha * ln(1 + k) at steps k = 0 .. steps - 1, built once per triple."""
+    return tuple(gamma0 + alpha * math.log1p(k) for k in range(steps))
 
 
 def mh_accept_prob(u_new: float, u_old: float, gamma: float) -> float:

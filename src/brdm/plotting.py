@@ -98,12 +98,8 @@ def generate_plot_script(
 ) -> str:
     """Self-contained plot script; every summary row appears exactly once."""
     parts = [_SCRIPT_PREAMBLE]
-    parts.append("\nFRONTIER = [\n")
-    parts.extend(f"    {tuple(row)!r},\n" for row in frontier_rows)
-    parts.append("]\n")
-    parts.append("\nSUMMARY = [\n")
-    parts.extend(f"    {tuple(row)!r},\n" for row in summary_rows)
-    parts.append("]\n")
+    for name, rows in (("FRONTIER", frontier_rows), ("SUMMARY", summary_rows)):
+        parts += [f"\n{name} = [\n", *(f"    {tuple(row)!r},\n" for row in rows), "]\n"]
     parts.append(_FRONTIER_PANEL)
     if summary_rows:
         parts.append(_DELTA_PANEL)

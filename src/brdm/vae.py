@@ -205,12 +205,6 @@ def encode(prior: VaePrior, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu[0], var[0]
 
 
-def decode(prior: VaePrior, z: np.ndarray) -> np.ndarray:
-    """Deterministic action mean for one latent; lies in (0, 1)^d."""
-    _, _, out = _decode_batch(prior, np.asarray(z, dtype=float)[None, :])
-    return out[0]
-
-
 def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
     """Closed-form KL(N(mu, diag var) || N(0, I)) in nats."""
     mu = np.asarray(mu, dtype=float)
@@ -292,8 +286,7 @@ def train_step(
 
 def sample_action(prior: VaePrior, rng: np.random.Generator) -> np.ndarray:
     """Decode one latent drawn from N(0, I); always inside (0, 1)^d."""
-    z = rng.standard_normal(prior.arch.latent_dim)
-    return decode(prior, z)
+    return sample_actions(prior, 1, rng)[0]
 
 
 def sample_actions(prior: VaePrior, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -371,6 +371,52 @@ def test_read_csv_reports_line_numbers(tmp_path):
         read_frontier_csv(bad)
 
 
+@pytest.mark.parametrize("flag", ["7", "-3", "2"])
+def test_read_frontier_csv_accepts_only_0_or_1_as_converged(tmp_path, flag):
+    frontier = tmp_path / "frontier.csv"
+    rows = ["1.0,0.5,0.6,1", "2.0,0.8,0.7,0", f"3.0,0.9,0.8,{flag}"]
+    frontier.write_text("\n".join([FRONTIER_CSV_HEADER + ",converged", *rows]) + "\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{frontier}: line 4: converged must be")):
+        read_frontier_csv(frontier)
+
+
+COUNTS_RULE = "need total_steps >= 1, 0 <= action_steps <= total_steps, replicate >= 0"
+
+
+# each cell breaks one rule, named by its id; the other fields are in range
+@pytest.mark.parametrize("cell, message", [
+    pytest.param("bogus,12,12,0", "agent_kind must be one of", id="agent_kind"),
+    pytest.param("single,-12,-12,0", COUNTS_RULE, id="total_steps_negative"),
+    pytest.param("single,0,0,0", COUNTS_RULE, id="total_steps_zero"),
+    pytest.param("multi,12,99,0", COUNTS_RULE, id="action_steps_above_total"),
+    pytest.param("multi,12,-1,0", COUNTS_RULE, id="action_steps_negative"),
+    pytest.param("single,12,12,-1", COUNTS_RULE, id="replicate_negative"),
+])
+def test_read_summary_csv_rejects_a_row_no_sweep_writes(tmp_path, cell, message):
+    summary = tmp_path / "summary.csv"
+    rows = ["single,12,12,0,0.5,0.6,0.1,0.2", f"{cell},0.5,0.6,0.1,0.2"]
+    summary.write_text("\n".join([SUMMARY_CSV_HEADER, *rows]) + "\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{summary}: line 3: {message}")):
+        read_summary_csv(summary)
+
+
+def test_plot_exits_1_on_an_out_of_range_csv_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    _run_and_baseline(out)
+    frontier, summary = out / "frontier.csv", out / "summary.csv"
+    good_frontier, good_summary = frontier.read_text(), summary.read_text()
+    frontier.write_text(FRONTIER_CSV_HEADER + ",converged\n1.0,0.5,0.6,7\n")
+    assert main(["plot", "--out", str(out), "--no-render"]) == 1
+    assert f"{frontier}: line 2: converged must be 0 or 1" in capsys.readouterr().err
+    frontier.write_text(good_frontier)
+    summary.write_text(good_summary.replace("multi,12,8,", "multi,12,99,", 1))
+    assert main(["plot", "--out", str(out), "--no-render"]) == 1
+    assert f"{summary}: line " in capsys.readouterr().err
+    assert not (out / "plot_figures.py").exists()
+    summary.write_text(good_summary)
+    assert main(["plot", "--out", str(out), "--no-render"]) == 0
+
+
 def test_main_exit_codes(tmp_path):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text(

@@ -9,7 +9,6 @@ from brdm.mcmc import (
     ChainConfig,
     ChainResult,
     SelectionConfig,
-    anneal_gamma,
     anneal_schedule,
     draw_index,
     mh_accept_prob,
@@ -22,20 +21,15 @@ from conftest import spearman_rho
 
 
 def test_anneal_gamma_values():
-    assert anneal_gamma(0, 3.5, 2.0) == 3.5
-    assert anneal_gamma(math.e - 1.0, 1.0, 2.0) == pytest.approx(3.0, abs=1e-12)
-    seq = [anneal_gamma(k, 0.5, 4.0) for k in range(100)]
+    assert anneal_schedule(3.5, 2.0, 3)[0] == 3.5
+    assert anneal_schedule(1.0, 2.0, 3)[2] == pytest.approx(1.0 + 2.0 * math.log(3.0), abs=1e-12)
+    seq = anneal_schedule(0.5, 4.0, 100)
     assert all(b >= a for a, b in zip(seq, seq[1:]))
-
-
-def test_anneal_gamma_rejects_negative_index():
-    with pytest.raises(ValueError):
-        anneal_gamma(-1, 1.0, 1.0)
 
 
 def test_anneal_schedule_is_anneal_gamma_built_once():
     schedule = anneal_schedule(0.5, 4.0, 30)
-    assert schedule == tuple(anneal_gamma(k, 0.5, 4.0) for k in range(30))
+    assert schedule == tuple(0.5 + 4.0 * math.log1p(k) for k in range(30))
     assert anneal_schedule(0.5, 4.0, 30) is schedule
     assert anneal_schedule(0.5, 4.0, 0) == ()
 
@@ -373,7 +367,7 @@ def test_selection_chain_uniform_at_zero_gamma():
 
 def test_selection_chain_concentrates_on_best():
     cfg = SelectionConfig(gamma_sel0=1.0, alpha_sel=10.0)
-    assert anneal_gamma(9, cfg.gamma_sel0, cfg.alpha_sel) >= 20.0
+    assert anneal_schedule(cfg.gamma_sel0, cfg.alpha_sel, 10)[9] >= 20.0
     rng = make_rng(2)
     px = np.full(3, 1 / 3)
     wins = sum(

@@ -8,7 +8,6 @@ from brdm.vae import (
     VAR_FLOOR,
     VaeArch,
     VaePrior,
-    decode,
     elbo_given_noise,
     elbo_gradients,
     encode,
@@ -55,18 +54,22 @@ def test_encode_finite_on_grid_sweep():
 
 def test_decode_zero_weights_gives_center():
     prior = zero_vae(VaeArch())
-    assert np.allclose(decode(prior, np.zeros(2)), 0.5)
-    assert np.allclose(decode(prior, np.array([3.0, -2.0])), 0.5)
+    rng = make_rng(3)
+    for _ in range(20):
+        assert np.allclose(sample_action(prior, rng), 0.5)
 
 
 def test_decode_deterministic_and_frozen_fixture():
     prior = init_vae(VaeArch(), make_rng(5))
-    z = np.array([0.3, -0.7])
-    out1 = decode(prior, z)
-    out2 = decode(prior, z)
+    out1 = sample_action(prior, make_rng(9))
+    out2 = sample_action(prior, make_rng(9))
     assert np.array_equal(out1, out2)
-    assert np.allclose(out1, [0.39871666840404574], atol=1e-12)
+    assert np.allclose(out1, [0.49226589167728824], atol=1e-12)
     assert (out1 > 0).all() and (out1 < 1).all()
+    # the decoded latent is the generator's first latent_dim standard normals
+    z = make_rng(9).standard_normal((1, 2))
+    _, _, ref = _reference_decode_batch({k: v.copy() for k, v in prior.params.items()}, z)
+    assert out1.tobytes() == ref[0].tobytes()
 
 
 def test_kl_closed_form_values():
