@@ -265,4 +265,5 @@ def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int) ->
     pa = joint.sum(axis=0, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(joint > 0.0, joint * np.log2(joint / (pw * pa)), 0.0)
-    return float(terms.sum())
+    # I(W;A) >= 0; the sum rounds a hair below zero when decisions and worlds are independent
+    return max(float(terms.sum()), 0.0)

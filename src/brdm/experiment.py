@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,6 +71,15 @@ class SummaryRow(NamedTuple):
 SUMMARY_CSV_HEADER = ",".join(SummaryRow._fields)
 _SUMMARY_TYPES = tuple(get_type_hints(SummaryRow).values())
 FRONTIER_CSV_HEADER = "beta,mi_bits,expected_utility"
+# Closed ranges of the float columns brdm writes, by column name in either
+# CSV; the task's utility lies in (0, 1], so a utility gain lies in [-1, 1].
+_COLUMN_RANGES = {
+    "beta": (0.0, math.inf),
+    "mi_bits": (0.0, math.inf),
+    "expected_utility": (0.0, 1.0),
+    "mean_delta_u": (-1.0, 1.0),
+    "stddev_delta_u": (0.0, math.inf),
+}
 EPISODE_CSV_HEADER = "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
 
 
@@ -218,6 +228,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _decimal_int(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer in decimal digits, not {text!r}")
+    return int(text)
+
+
 def _converged(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"converged must be 0 or 1, not {text!r}")
@@ -236,8 +252,9 @@ def _summary_row(fields: list) -> SummaryRow:
 def _read_csv(path, parsers, make_row, *headers) -> list:
     """Rows built by ``make_row`` from parsed fields; the header must be one of ``headers``.
 
-    brdm writes only finite floats and values in range, so a NaN or infinite
-    float field, or a row that ``make_row`` rejects, is malformed.
+    brdm writes only finite floats, each inside its column's range, and
+    integers as plain decimal digits, so any other field, or a row that
+    ``make_row`` rejects, is malformed.
     """
     try:
         lines = Path(path).read_text().splitlines() or [""]
@@ -245,10 +262,11 @@ def _read_csv(path, parsers, make_row, *headers) -> list:
         raise CsvFormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
-    parsers = [_finite_float if parse is float else parse for parse in parsers]
+    parsers = [{float: _finite_float, int: _decimal_int}.get(p, p) for p in parsers]
     if lines[0] not in headers:
         raise CsvFormatError(f"{path}: line 1: unexpected header {lines[0]!r}")
-    width = lines[0].count(",") + 1
+    names = lines[0].split(",")
+    width = len(names)
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -257,7 +275,13 @@ def _read_csv(path, parsers, make_row, *headers) -> list:
         if len(parts) != width:
             raise CsvFormatError(f"{path}: line {line_no}: expected {width} fields, got {len(parts)}")
         try:
-            rows.append(make_row([parse(v) for parse, v in zip(parsers, parts)]))
+            fields = [parse(v) for parse, v in zip(parsers, parts)]
+            for name, value in zip(names, fields):
+                if name in _COLUMN_RANGES:
+                    low, high = _COLUMN_RANGES[name]
+                    if not low <= value <= high:
+                        raise ValueError(f"{name} must lie in [{low}, {high}], not {value}")
+            rows.append(make_row(fields))
         except ValueError as exc:
             raise CsvFormatError(f"{path}: line {line_no}: {exc}") from None
     return rows

@@ -104,23 +104,27 @@ def run_action_chain(
     """Anneal an MH chain over U(w, .) for ``steps`` steps from ``seed_action``.
 
     The noise and uniforms are drawn as two blocks up front; the steps then
-    run on Python floats. Each proposal is a fresh list of floats, which is
-    what ``world.utility`` receives and what the chain keeps when it
-    accepts; the chain keeps no record of its path. With ``steps == 0`` the
-    seed is the decision, and the zero-size draws leave ``rng`` unchanged.
+    run on Python floats. With one coordinate a step's noise is one float
+    of the flat noise list, otherwise a row of floats. Each proposal is a
+    fresh list of floats, which is what ``world.utility`` receives and what
+    the chain keeps when it accepts; the chain keeps no record of its path.
+    With ``steps == 0`` the seed is the decision, and the zero-size draws
+    leave ``rng`` unchanged.
     """
     state = np.asarray(seed_action, dtype=float).tolist()
     u = world.utility(w, state)
     seed_u = u
 
-    noise = rng.normal(0.0, cfg.proposal_sigma, size=(steps, len(state))).tolist()
+    scalar = len(state) == 1
+    block = rng.normal(0.0, cfg.proposal_sigma, size=(steps, len(state)))
+    noise = block.ravel().tolist() if scalar else block.tolist()
     log_unif = np.log(rng.random(steps)).tolist()
     schedule = anneal_schedule(cfg.gamma0, cfg.alpha, steps)
     utility = world.utility
 
     accepted = 0
     for gamma, step, lu in zip(schedule, noise, log_unif):
-        prop = [*map(reflect01, state, step)]
+        prop = [reflect01(state[0], step)] if scalar else [*map(reflect01, state, step)]
         pu = utility(w, prop)
         du = pu - u
         if du >= 0.0 or lu < gamma * du:

@@ -159,6 +159,13 @@ def test_empirical_mi_degenerate_and_identity():
     ]
     assert empirical_mutual_information(distinct, 100) == pytest.approx(np.log2(6))
     assert empirical_expected_utility(same) == pytest.approx(1.0)
+    # unequal world counts in one slot: the plug-in sum rounds to -2.4e-16 unclamped
+    one_slot = [
+        EpisodeRecord(w, 0, np.array([0.4]), np.array([0.4]), 1.0, 1.0, 1)
+        for w in range(6)
+        for _ in range(58 + w)
+    ]
+    assert empirical_mutual_information(one_slot, 1) == 0.0
 
 
 def test_empirical_mi_matches_known_channel(gaussian_task):

@@ -400,6 +400,56 @@ def test_read_summary_csv_rejects_a_row_no_sweep_writes(tmp_path, cell, message)
         read_summary_csv(summary)
 
 
+GOOD_FRONTIER_ROW = "1.0,0.5,0.6"
+GOOD_SUMMARY_ROW = "multi,12,8,0,0.5,0.6,0.1,0.2"
+
+
+def _with_field(row, index, text):
+    fields = row.split(",")
+    fields[index] = text
+    return ",".join(fields)
+
+
+# each case puts one bad field into an otherwise good row; brdm writes none of them
+@pytest.mark.parametrize("csv_name, row, message", [
+    pytest.param("frontier", _with_field(GOOD_FRONTIER_ROW, 0, "-5"), "beta must lie in",
+                 id="frontier_beta_negative"),
+    pytest.param("frontier", _with_field(GOOD_FRONTIER_ROW, 1, "-2.5"), "mi_bits must lie in",
+                 id="frontier_mi_bits_negative"),
+    pytest.param("frontier", _with_field(GOOD_FRONTIER_ROW, 2, "7.5"),
+                 "expected_utility must lie in [0.0, 1.0]", id="frontier_expected_utility_above_1"),
+    pytest.param("frontier", _with_field(GOOD_FRONTIER_ROW, 2, "-0.1"),
+                 "expected_utility must lie in [0.0, 1.0]", id="frontier_expected_utility_negative"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 1, "1_2"),
+                 "expected an integer in decimal digits, not '1_2'", id="total_steps_underscore"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 2, "+8"),
+                 "expected an integer in decimal digits, not '+8'", id="action_steps_plus_sign"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 3, " 0"),
+                 "expected an integer in decimal digits, not ' 0'", id="replicate_space"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 4, "-1"), "mi_bits must lie in",
+                 id="summary_mi_bits_negative"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 5, "9"),
+                 "expected_utility must lie in [0.0, 1.0]", id="summary_expected_utility_above_1"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 6, "1.5"),
+                 "mean_delta_u must lie in [-1.0, 1.0]", id="mean_delta_u_above_1"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 6, "-1.5"),
+                 "mean_delta_u must lie in [-1.0, 1.0]", id="mean_delta_u_below_minus_1"),
+    pytest.param("summary", _with_field(GOOD_SUMMARY_ROW, 7, "-0.2"), "stddev_delta_u must lie in",
+                 id="stddev_delta_u_negative"),
+])
+def test_plot_exits_1_naming_file_and_line_on_a_field_out_of_range(
+    tmp_path, capsys, csv_name, row, message
+):
+    frontier, summary = tmp_path / "frontier.csv", tmp_path / "summary.csv"
+    frontier.write_text(f"{FRONTIER_CSV_HEADER}\n{GOOD_FRONTIER_ROW}\n")
+    summary.write_text(f"{SUMMARY_CSV_HEADER}\n{GOOD_SUMMARY_ROW}\n")
+    assert main(["plot", "--out", str(tmp_path), "--no-render"]) == 0
+    bad = tmp_path / f"{csv_name}.csv"
+    bad.write_text(bad.read_text() + row + "\n")
+    assert main(["plot", "--out", str(tmp_path), "--no-render", "--force"]) == 1
+    assert f"{bad}: line 3: {message}" in capsys.readouterr().err
+
+
 def test_plot_exits_1_on_an_out_of_range_csv_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "run"
     _run_and_baseline(out)
@@ -567,6 +617,21 @@ def test_main_run_and_plot_end_to_end(tmp_path):
     assert main(["baseline", "--config", str(cfgfile), "--out", str(out), "--force"]) == 0
     assert main(["plot", "--out", str(out), "--no-render"]) == 0
     assert (out / "plot_figures.py").exists()
+
+
+def test_the_pinned_sweep_and_frontiers_read_back(tmp_path):
+    # the readers accept every summary and frontier the byte-pinned configs write
+    from test_log_digests import CONFIG, FRONTIER_DIGESTS
+
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(CONFIG)
+    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
+    assert len(read_summary_csv(tmp_path / "run" / "summary.csv")) == 12
+    for index, config in enumerate(FRONTIER_DIGESTS):
+        cfgfile.write_text(config)
+        out = tmp_path / f"baseline{index}"
+        assert main(["baseline", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert len(read_frontier_csv(out / "frontier.csv")) == len(ExperimentConfig().betas)
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -207,6 +207,9 @@ def test_action_chain_never_mutates_an_action_after_the_call(gaussian_task, dim)
     assert kept[0][0] == kept[0][1] == [0.4] * dim
     for a, at_call in kept:
         assert list(a) == at_call
+    # every action is a list of Python floats; [np.float64(x)] == [x] would hide numpy scalars
+    assert all(type(a) is list and len(a) == dim for a, _ in kept)
+    assert all(type(x) is float for a, _ in kept for x in a)
     assert result.decision.tolist() in [at_call for _, at_call in kept]
 
 
