@@ -71,8 +71,8 @@ class SystemConfig:
             raise ValueError("num_priors must be >= 1")
         if self.buffer_size < 1 or self.batch_size < 1:
             raise ValueError("buffer_size and batch_size must be >= 1")
-        if not self.step_size >= 0.0:
-            raise ValueError("step_size must be >= 0")
+        if not 0.0 <= self.step_size < math.inf:
+            raise ValueError("step_size must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class EpisodeRecord:
 
     world: int
     selected_prior: int
-    seed_action: np.ndarray
-    decision: np.ndarray
+    seed_action: float
+    decision: float
     utility: float
     seed_utility: float
     utility_evaluations: int
@@ -111,8 +111,8 @@ class MultinomialPrior:
 class _RingBuffer:
     """Fixed-capacity store of recent decisions with O(1) append."""
 
-    def __init__(self, capacity: int, dim: int):
-        self._data = np.empty((capacity, dim))
+    def __init__(self, capacity: int):
+        self._data = np.empty((capacity, 1))
         self._capacity = capacity
         self._next = 0
         self._count = 0
@@ -120,7 +120,7 @@ class _RingBuffer:
     def __len__(self) -> int:
         return self._count
 
-    def append(self, a: np.ndarray) -> None:
+    def append(self, a: float) -> None:
         self._data[self._next] = a
         self._next = (self._next + 1) % self._capacity
         self._count = min(self._count + 1, self._capacity)
@@ -142,20 +142,13 @@ class DecisionSystem:
     """
 
     def __init__(self, world: WorldModel, cfg: SystemConfig, rng: np.random.Generator):
-        if cfg.vae.input_dim != world.action_dim:
-            raise ValueError(
-                f"cfg.vae.input_dim = {cfg.vae.input_dim} must equal "
-                f"world.action_dim = {world.action_dim}"
-            )
         self.world = world
         self.cfg = cfg
         self.rng = rng
         bank = np.empty((cfg.num_priors, param_count(cfg.vae)))
         self.vaes: tuple[VaePrior, ...] = tuple(init_vae(cfg.vae, self.rng, row) for row in bank)
         self._stack = VaePrior(cfg.vae, bank)
-        self.buffers = [
-            _RingBuffer(cfg.buffer_size, cfg.vae.input_dim) for _ in range(cfg.num_priors)
-        ]
+        self.buffers = [_RingBuffer(cfg.buffer_size) for _ in range(cfg.num_priors)]
         self.multinomial = MultinomialPrior(np.zeros(cfg.num_priors, dtype=np.int64))
         # The running sum can end below 1 by rounding, and a uniform above it
         # would pick past the last world: the entries that reach the total
@@ -185,7 +178,7 @@ class DecisionSystem:
             m = self.cfg.selection.utility_samples
             estimates = [
                 sum(world.utility(w, a) for a in draws) / m
-                for draws in sample_actions(self._stack, m, rng).tolist()
+                for draws in sample_actions(self._stack, m, rng)[..., 0].tolist()
             ]
             evals += m * self.cfg.num_priors
             x = run_selection_chain(
@@ -251,7 +244,7 @@ def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int) ->
     if bins < 1:
         raise ValueError("bins must be >= 1")
     worlds = np.array([r.world for r in records])
-    decisions = np.array([float(r.decision[0]) for r in records])
+    decisions = np.array([r.decision for r in records])
     if not np.isfinite(decisions).all():
         raise ValueError(
             "non-finite decisions in the episode log (diverged VAE weights; lower step_size)"

@@ -107,14 +107,12 @@ def action_grid(grid_size: int) -> np.ndarray:
 
 
 def utility_table(world: WorldModel, grid: np.ndarray) -> np.ndarray:
-    """Evaluate U(w, a) on every (world, grid point) pair; scalar actions only."""
-    if world.action_dim != 1:
-        raise ValueError("grid solvers support action_dim == 1 only")
+    """Evaluate U(w, a) on every (world, grid point) pair."""
     table = np.empty((world.num_worlds, grid.size))
     points = grid.tolist()
     for w in range(world.num_worlds):
         for j, g in enumerate(points):
-            table[w, j] = world.utility(w, [g])
+            table[w, j] = world.utility(w, g)
     return table
 
 

@@ -206,6 +206,6 @@ def system_config(cfg: ExperimentConfig, kind: str, budget: BudgetSplit) -> Syst
         budget=budget,
         chain=_from_config(ChainConfig, cfg),
         selection=_from_config(SelectionConfig, cfg),
-        vae=_from_config(VaeArch, cfg, input_dim=1),
+        vae=_from_config(VaeArch, cfg),
         **({"num_priors": 1} if kind == "single" else {}),
     )

@@ -1,9 +1,9 @@
 """Domain types shared by every solver and agent.
 
 A decision problem is a finite set of world states w drawn from a fixed
-distribution rho(w), a continuous action box [0, 1]^d, and a bounded utility
-U(w, a). The reference task is a bank of Gaussian utility bumps on [0, 1],
-one peak per world state.
+distribution rho(w), a continuous action interval [0, 1], and a bounded
+utility U(w, a). The reference task is a bank of Gaussian utility bumps on
+[0, 1], one peak per world state.
 
 All randomness flows through explicitly passed ``numpy.random.Generator``
 handles; there is no module-level RNG. Core types are immutable after
@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 # A world's utility is evaluated as utility(world_index, action) -> float,
-# with action a sequence of action_dim floats inside [0, 1]^d that the caller
-# never mutates after the call, so a utility may keep it. The chains pass
-# lists of Python floats; a utility that needs numpy calls np.asarray(action).
-UtilityFn = Callable[[int, Sequence[float]], float]
+# with the action one Python float inside [0, 1].
+UtilityFn = Callable[[int, float], float]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -45,19 +43,16 @@ class WorldModel:
     num_worlds: int
     rho: np.ndarray
     utility: UtilityFn
-    action_dim: int = 1
 
     def __post_init__(self):
         if self.num_worlds < 1:
             raise ValueError("num_worlds must be positive")
-        if self.action_dim < 1:
-            raise ValueError("action_dim must be >= 1")
         rho = np.asarray(self.rho, dtype=float)
         object.__setattr__(self, "rho", rho)
         if rho.shape != (self.num_worlds,):
             raise ValueError("rho must have one entry per world state")
-        if (rho < 0.0).any():
-            raise ValueError("rho entries must be nonnegative")
+        if not ((rho >= 0.0) & (rho < math.inf)).all():
+            raise ValueError("rho entries must be finite and nonnegative")
         if abs(float(rho.sum()) - 1.0) > 1e-12:
             raise ValueError("rho must sum to 1 within 1e-12")
 
@@ -79,8 +74,8 @@ class GaussianTaskSpec:
     def __post_init__(self):
         if self.num_worlds < 1:
             raise ValueError("num_worlds must be positive")
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
         means = self.means
         if len(means) == 0:
             means = tuple((i + 0.5) / self.num_worlds for i in range(self.num_worlds))
@@ -89,24 +84,20 @@ class GaussianTaskSpec:
         object.__setattr__(self, "means", means)
         if len(means) != self.num_worlds:
             raise ValueError("means must have one entry per world state")
-        if any(m < 0.0 or m > 1.0 for m in means):
+        if not all(0.0 <= m <= 1.0 for m in means):
             raise ValueError("means must lie in [0, 1]")
         if any(b <= a for a, b in zip(means, means[1:])):
             raise ValueError("means must be strictly increasing")
 
 
 def make_gaussian_task(spec: GaussianTaskSpec) -> WorldModel:
-    """Uniform rho over worlds; U(w, a) = exp(-(a - means[w])^2 / (2 width^2)).
-
-    The utility reads ``a[0]`` only, so any float sequence of length one
-    serves as the action.
-    """
+    """Uniform rho over worlds; U(w, a) = exp(-(a - means[w])^2 / (2 width^2))."""
     means = spec.means
     denom = 2.0 * spec.width * spec.width
 
-    def utility(w: int, a: Sequence[float]) -> float:
-        diff = a[0] - means[w]
+    def utility(w: int, a: float) -> float:
+        diff = a - means[w]
         return math.exp(-(diff * diff) / denom)
 
     rho = np.full(spec.num_worlds, 1.0 / spec.num_worlds)
-    return WorldModel(num_worlds=spec.num_worlds, rho=rho, utility=utility, action_dim=1)
+    return WorldModel(num_worlds=spec.num_worlds, rho=rho, utility=utility)

@@ -168,17 +168,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[
         return list(pool.map(_run_cell_task, [(cfg, cell, out_dir) for cell in cells]))
 
 
-def _component_str(a: np.ndarray) -> str:
-    return ";".join(map(_fmt, a.tolist()))
-
-
 def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:
-    """Episode log export; actions with d > 1 join components with ';'."""
+    """Episode log export, one line per episode."""
     out.write(EPISODE_CSV_HEADER + "\n")
     for i, r in enumerate(records):
         out.write(
-            f"{i},{r.world},{r.selected_prior},{_component_str(r.seed_action)},"
-            f"{_component_str(r.decision)},{_fmt(r.utility)},"
+            f"{i},{r.world},{r.selected_prior},{_fmt(r.seed_action)},"
+            f"{_fmt(r.decision)},{_fmt(r.utility)},"
             f"{_fmt(r.seed_utility)},{r.utility_evaluations}\n"
         )
 

@@ -1,6 +1,6 @@
 """Anytime Metropolis-Hastings decision chains.
 
-The action chain random-walks over the action box with a symmetric Gaussian
+The action chain random-walks over [0, 1] with a symmetric Gaussian
 proposal (boundary handling by reflection, which keeps the proposal kernel
 symmetric; clipping would pile atoms onto the boundary and invalidate the
 simplified acceptance rule). Precision follows the annealing schedule
@@ -37,10 +37,10 @@ class ChainConfig:
     proposal_sigma: float = 0.1
 
     def __post_init__(self):
-        if self.gamma0 < 0.0 or self.alpha < 0.0:
-            raise ValueError("gamma0 and alpha must be >= 0")
-        if not self.proposal_sigma > 0.0:
-            raise ValueError("proposal_sigma must be positive")
+        if not (0.0 <= self.gamma0 < math.inf and 0.0 <= self.alpha < math.inf):
+            raise ValueError("gamma0 and alpha must be finite and >= 0")
+        if not 0.0 < self.proposal_sigma < math.inf:
+            raise ValueError("proposal_sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ChainResult:
     utility calls (seed + one per step).
     """
 
-    decision: np.ndarray
+    decision: float
     evaluations: int
     acceptance_rate: float
     decision_utility: float
@@ -67,8 +67,8 @@ class SelectionConfig:
     utility_samples: int = 3
 
     def __post_init__(self):
-        if self.gamma_sel0 < 0.0 or self.alpha_sel < 0.0:
-            raise ValueError("gamma_sel0 and alpha_sel must be >= 0")
+        if not (0.0 <= self.gamma_sel0 < math.inf and 0.0 <= self.alpha_sel < math.inf):
+            raise ValueError("gamma_sel0 and alpha_sel must be finite and >= 0")
         if self.utility_samples < 1:
             raise ValueError("utility_samples must be >= 1")
 
@@ -96,7 +96,7 @@ def reflect01(x: float, step: float = 0.0) -> float:
 def run_action_chain(
     world: WorldModel,
     w: int,
-    seed_action: np.ndarray,
+    seed_action: float,
     cfg: ChainConfig,
     steps: int,
     rng: np.random.Generator,
@@ -104,27 +104,22 @@ def run_action_chain(
     """Anneal an MH chain over U(w, .) for ``steps`` steps from ``seed_action``.
 
     The noise and uniforms are drawn as two blocks up front; the steps then
-    run on Python floats. With one coordinate a step's noise is one float
-    of the flat noise list, otherwise a row of floats. Each proposal is a
-    fresh list of floats, which is what ``world.utility`` receives and what
-    the chain keeps when it accepts; the chain keeps no record of its path.
-    With ``steps == 0`` the seed is the decision, and the zero-size draws
-    leave ``rng`` unchanged.
+    run on Python floats, and each proposal is the float ``world.utility``
+    receives. The chain keeps no record of its path. With ``steps == 0`` the
+    seed is the decision, and the zero-size draws leave ``rng`` unchanged.
     """
-    state = np.asarray(seed_action, dtype=float).tolist()
+    state = float(seed_action)
     u = world.utility(w, state)
     seed_u = u
 
-    scalar = len(state) == 1
-    block = rng.normal(0.0, cfg.proposal_sigma, size=(steps, len(state)))
-    noise = block.ravel().tolist() if scalar else block.tolist()
+    noise = rng.normal(0.0, cfg.proposal_sigma, size=steps).tolist()
     log_unif = np.log(rng.random(steps)).tolist()
     schedule = anneal_schedule(cfg.gamma0, cfg.alpha, steps)
     utility = world.utility
 
     accepted = 0
     for gamma, step, lu in zip(schedule, noise, log_unif):
-        prop = [reflect01(state[0], step)] if scalar else [*map(reflect01, state, step)]
+        prop = reflect01(state, step)
         pu = utility(w, prop)
         du = pu - u
         if du >= 0.0 or lu < gamma * du:
@@ -132,7 +127,7 @@ def run_action_chain(
             accepted += 1
 
     return ChainResult(
-        decision=np.array(state),
+        decision=state,
         evaluations=steps + 1,
         acceptance_rate=accepted / steps if steps else 0.0,
         decision_utility=u,

@@ -1,12 +1,12 @@
-"""A small variational autoencoder over action vectors, trained by hand.
+"""A small variational autoencoder over scalar actions, trained by hand.
 
 The encoder maps an action to a diagonal Gaussian over the latent space
 (linear mean head, rectified variance head with a small floor so the KL
 stays finite); the decoder maps a latent back to an action mean squashed
-into (0, 1)^d with a fixed output variance. Both nets have one ReLU
+into (0, 1) with a fixed output variance. Both nets have one ReLU
 hidden layer. Training ascends the single-noise-sample bound
 
-    elbo = -||a - decode(z)||^2 / (2 sigma^2) - KL(N(mu, var) || N(0, I)),
+    elbo = -(a - decode(z))^2 / (2 sigma^2) - KL(N(mu, var) || N(0, I)),
     z = mu + sqrt(var) * xi,  xi ~ N(0, I),
 
 with plain gradient ascent; the step size is an argument of
@@ -41,25 +41,24 @@ VAR_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class VaeArch:
-    """Layer sizes and the fixed decoder variance."""
+    """Layer sizes and the fixed decoder variance; the action is one float."""
 
-    input_dim: int = 1
     hidden_dim: int = 16
     latent_dim: int = 2
     decoder_variance: float = 0.01
 
     def __post_init__(self):
-        if min(self.input_dim, self.hidden_dim, self.latent_dim) < 1:
+        if min(self.hidden_dim, self.latent_dim) < 1:
             raise ValueError("all dimensions must be >= 1")
-        if not self.decoder_variance > 0.0:
-            raise ValueError("decoder_variance must be positive")
+        if not 0.0 < self.decoder_variance < math.inf:
+            raise ValueError("decoder_variance must be positive and finite")
 
 
 def _shapes(arch: VaeArch) -> dict[str, tuple[int, ...]]:
     """Shape of each parameter array, in the order they lie in the flat vector."""
-    d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
+    h, lat = arch.hidden_dim, arch.latent_dim
     return {
-        "enc_w1": (h, d),
+        "enc_w1": (h, 1),
         "enc_b1": (h,),
         "enc_wmu": (lat, h),
         "enc_bmu": (lat,),
@@ -67,8 +66,8 @@ def _shapes(arch: VaeArch) -> dict[str, tuple[int, ...]]:
         "enc_bvar": (lat,),
         "dec_w1": (h, lat),
         "dec_b1": (h,),
-        "dec_wout": (d, h),
-        "dec_bout": (d,),
+        "dec_wout": (1, h),
+        "dec_bout": (1,),
     }
 
 
@@ -153,15 +152,15 @@ def init_vae(
     KL gradient could not reach it. The weights are written into ``flat``
     (for example one row of a parameter bank) when it is given.
     """
-    d, h, lat = arch.input_dim, arch.hidden_dim, arch.latent_dim
+    h, lat = arch.hidden_dim, arch.latent_dim
     prior = zero_vae(arch, flat)
     p = prior.params
-    p["enc_w1"][...] = rng.normal(0.0, 1.0 / math.sqrt(d), size=(h, d))
+    p["enc_w1"][...] = rng.normal(0.0, 1.0, size=(h, 1))
     p["enc_wmu"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h))
     p["enc_wvar"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(lat, h))
     p["enc_bvar"][...] = 1.0
     p["dec_w1"][...] = rng.normal(0.0, 1.0 / math.sqrt(lat), size=(h, lat))
-    p["dec_wout"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(d, h))
+    p["dec_wout"][...] = rng.normal(0.0, 1.0 / math.sqrt(h), size=(1, h))
     return prior
 
 
@@ -284,17 +283,17 @@ def train_step(
     return report
 
 
-def sample_action(prior: VaePrior, rng: np.random.Generator) -> np.ndarray:
-    """Decode one latent drawn from N(0, I); always inside (0, 1)^d."""
-    return sample_actions(prior, 1, rng)[0]
+def sample_action(prior: VaePrior, rng: np.random.Generator) -> float:
+    """Decode one latent drawn from N(0, I); always inside (0, 1)."""
+    return float(sample_actions(prior, 1, rng)[0, 0])
 
 
 def sample_actions(prior: VaePrior, n: int, rng: np.random.Generator) -> np.ndarray:
     """Decode ``n`` latents drawn from N(0, I) per prior.
 
-    Returns shape (n, input_dim), or (P, n, input_dim) for a stack of P
-    priors, whose latents are one (P, n, latent_dim) draw: the same numbers,
-    and the same generator state after, as P draws of (n, latent_dim).
+    Returns shape (n, 1), or (P, n, 1) for a stack of P priors, whose
+    latents are one (P, n, latent_dim) draw: the same numbers, and the same
+    generator state after, as P draws of (n, latent_dim).
     """
     z = rng.standard_normal((*prior.flat.shape[:-1], n, prior.arch.latent_dim))
     return _decode_batch(prior, z)[2]

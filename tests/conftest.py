@@ -28,7 +28,7 @@ def make_tabular_world(table, rho=None):
         rho = np.full(num_worlds, 1.0 / num_worlds)
 
     def utility(w, a):
-        j = min(int(a[0] * num_actions), num_actions - 1)
+        j = min(int(a * num_actions), num_actions - 1)
         return float(table[w, j])
 
     return WorldModel(num_worlds=num_worlds, rho=np.asarray(rho, dtype=float), utility=utility)

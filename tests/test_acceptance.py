@@ -143,7 +143,7 @@ def test_criterion_2_boltzmann_limits(task):
         greedy = solve_single_stage(task, 1e4)
         grid = greedy.grid
         table = np.array(
-            [[task.utility(w, np.array([g])) for g in grid] for w in range(6)]
+            [[task.utility(w, g) for g in grid] for w in range(6)]
         )
         eu = float(task.rho @ (greedy.cond * table).sum(axis=1))
         mi = mutual_information(task.rho, greedy.cond)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from brdm.agents import (
 )
 from brdm.baseline import expected_utility, mutual_information, solve_single_stage
 from brdm.core import WorldModel, make_rng
-from brdm.experiment import EPISODE_CSV_HEADER, _component_str, write_episode_csv
+from brdm.experiment import EPISODE_CSV_HEADER, write_episode_csv
 from brdm.vae import VaeArch, zero_vae
 
 
@@ -45,7 +46,7 @@ def test_zero_action_steps_returns_seed(gaussian_task):
     cfg = _single_config(0, 0)
     system = DecisionSystem(gaussian_task, cfg, make_rng(0))
     record = system.run_episode(2)
-    assert np.array_equal(record.decision, record.seed_action)
+    assert record.decision == record.seed_action
     assert record.delta_u == 0.0
     assert record.utility_evaluations == 1
 
@@ -55,7 +56,7 @@ def test_untrained_zero_vae_seeds_at_center(gaussian_task):
     system = DecisionSystem(gaussian_task, cfg, make_rng(0))
     zero_vae(VaeArch(), flat=system.vaes[0].flat)  # zeroes the prior's bank row
     record = system.run_episode(0)
-    assert record.seed_action[0] == 0.5
+    assert record.seed_action == 0.5
 
 
 def test_budget_accounting_multi(gaussian_task):
@@ -89,7 +90,7 @@ def test_train_system_reproducible(gaussian_task):
     _, recs2 = train_system(gaussian_task, cfg, 50, make_rng(7))
     for a, b in zip(recs1, recs2):
         assert a.world == b.world and a.selected_prior == b.selected_prior
-        assert np.array_equal(a.decision, b.decision)
+        assert a.decision == b.decision
         assert a.utility == b.utility and a.seed_utility == b.seed_utility
 
 
@@ -122,7 +123,7 @@ def test_train_system_zero_episodes(gaussian_task):
 
 def test_empirical_expected_utility():
     recs = [
-        EpisodeRecord(0, 0, np.array([0.1]), np.array([0.2]), u, u, 1)
+        EpisodeRecord(0, 0, 0.1, 0.2, u, u, 1)
         for u in (0.2, 0.8)
     ]
     assert empirical_expected_utility(recs) == pytest.approx(0.5)
@@ -133,8 +134,7 @@ def test_empirical_expected_utility():
 def test_empirical_expected_utility_decomposes_by_world():
     rng = make_rng(4)
     recs = [
-        EpisodeRecord(int(rng.integers(0, 3)), 0, np.array([0.0]),
-                      np.array([0.0]), float(rng.random()), 0.0, 1)
+        EpisodeRecord(int(rng.integers(0, 3)), 0, 0.0, 0.0, float(rng.random()), 0.0, 1)
         for _ in range(500)
     ]
     total = empirical_expected_utility(recs)
@@ -147,13 +147,13 @@ def test_empirical_expected_utility_decomposes_by_world():
 
 def test_empirical_mi_degenerate_and_identity():
     same = [
-        EpisodeRecord(w, 0, np.array([0.4]), np.array([0.4]), 1.0, 1.0, 1)
+        EpisodeRecord(w, 0, 0.4, 0.4, 1.0, 1.0, 1)
         for w in range(6)
         for _ in range(10)
     ]
     assert empirical_mutual_information(same, 100) == pytest.approx(0.0)
     distinct = [
-        EpisodeRecord(w, 0, np.array([0.0]), np.array([(w + 0.5) / 6]), 1.0, 1.0, 1)
+        EpisodeRecord(w, 0, 0.0, (w + 0.5) / 6, 1.0, 1.0, 1)
         for w in range(6)
         for _ in range(10)
     ]
@@ -161,7 +161,7 @@ def test_empirical_mi_degenerate_and_identity():
     assert empirical_expected_utility(same) == pytest.approx(1.0)
     # unequal world counts in one slot: the plug-in sum rounds to -2.4e-16 unclamped
     one_slot = [
-        EpisodeRecord(w, 0, np.array([0.4]), np.array([0.4]), 1.0, 1.0, 1)
+        EpisodeRecord(w, 0, 0.4, 0.4, 1.0, 1.0, 1)
         for w in range(6)
         for _ in range(58 + w)
     ]
@@ -178,7 +178,7 @@ def test_empirical_mi_matches_known_channel(gaussian_task):
     for _ in range(10_000):
         w = int(rng.integers(0, 6))
         j = int(np.searchsorted(cum[w], rng.random(), side="right"))
-        a = np.array([policy.grid[j]])
+        a = float(policy.grid[j])
         recs.append(EpisodeRecord(w, 0, a, a, gaussian_task.utility(w, a), 0.0, 1))
     assert abs(empirical_mutual_information(recs, 100) - exact_mi) < 0.05
     assert abs(empirical_expected_utility(recs) - exact_eu) < 0.01
@@ -199,26 +199,25 @@ def test_episode_csv_format(gaussian_task):
 
 
 def _reference_component_str(a):
+    """The ';'-joined action column that episode logs were written with."""
     return ";".join(format(float(c), ".12g") for c in np.atleast_1d(a))
 
 
 def test_component_str_matches_reference_implementation():
-    values = [1e-5, 0.1, 1.0, float("nan"), 0.0, 0.5, 1 / 3, 0.123456789012345, 2e-300]
+    # the action columns keep the bytes of the ';'-joined one-element array
+    values = [1e-5, 0.1, 1.0, math.nan, 0.0, 0.5, 1 / 3, 0.123456789012345, 2e-300]
     rng = make_rng(6)
-    cases = [np.array([v]) for v in values]
-    cases += [np.array([u, v]) for u in values for v in values]
-    cases += [rng.uniform(0.0, 1.0, size=d) for d in (1, 2) for _ in range(500)]
-    for a in cases:
-        assert _component_str(a) == _reference_component_str(a)
-
-
-def test_system_rejects_priors_of_another_action_dim():
-    world = WorldModel(num_worlds=2, rho=[0.5, 0.5], utility=lambda w, a: a[0] * a[1], action_dim=2)
-    with pytest.raises(ValueError, match="input_dim = 1 .*action_dim = 2"):
-        DecisionSystem(world, SystemConfig(), make_rng(0))
-    cfg = SystemConfig(num_priors=2, budget=BudgetSplit(6, 2), vae=VaeArch(input_dim=2))
-    _, recs = train_system(world, cfg, 5, make_rng(0))
-    assert all(r.decision.shape == (2,) for r in recs)
+    pairs = [(u, v) for u in values for v in values]
+    pairs += rng.uniform(0.0, 1.0, size=(500, 2)).tolist()
+    records = [EpisodeRecord(0, 0, seed, decision, 0.5, 0.5, 1) for seed, decision in pairs]
+    buf = io.StringIO()
+    write_episode_csv(records, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == len(pairs)
+    for row, (seed, decision) in zip(rows, pairs):
+        fields = row.split(",")
+        assert fields[3] == _reference_component_str(np.array([seed]))
+        assert fields[4] == _reference_component_str(np.array([decision]))
 
 
 def _reference_draw_world(rho, rng):
@@ -270,10 +269,10 @@ def test_draw_world_never_passes_the_last_world(rho, last):
 
 def test_empirical_mi_rejects_non_finite_decisions():
     records = [
-        EpisodeRecord(w, 0, np.array([0.5]), np.array([(w + 0.5) / 6]), 1.0, 1.0, 1)
+        EpisodeRecord(w, 0, 0.5, (w + 0.5) / 6, 1.0, 1.0, 1)
         for w in range(6)
     ]
-    records[3] = EpisodeRecord(3, 0, np.array([0.5]), np.array([np.nan]), 1.0, 1.0, 1)
+    records[3] = EpisodeRecord(3, 0, 0.5, math.nan, 1.0, 1.0, 1)
     with pytest.raises(ValueError, match="non-finite decisions"):
         empirical_mutual_information(records, 100)
 

@@ -120,7 +120,7 @@ def test_expected_utility_uniform_policy_matches_summation_oracle():
     total = 0.0
     for w in range(6):
         for g in grid:
-            total += (1.0 / 6) * (1.0 / 100) * task.utility(w, np.array([g]))
+            total += (1.0 / 6) * (1.0 / 100) * task.utility(w, g)
     assert expected_utility(task, policy) == pytest.approx(total, abs=1e-12)
 
 

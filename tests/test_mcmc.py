@@ -71,12 +71,12 @@ def _reference_reflect01(a):
 
 
 def _recording(world):
-    """``world`` with a utility that records each call's action, as floats, and value."""
+    """``world`` with a utility that records each call's action and value."""
     calls = []
 
     def utility(w, a):
         u = world.utility(w, a)
-        calls.append((np.asarray(a, dtype=float).tolist(), u))
+        calls.append((a, u))
         return u
 
     return dataclasses.replace(world, utility=utility), calls
@@ -112,23 +112,14 @@ def _reference_action_chain(world, w, seed_action, cfg, n, rng):
     )
 
 
-def _plane_task():
-    """Two-dimensional bumps; the utility checks the action it is handed."""
-    centers = [(0.2, 0.7), (0.8, 0.3), (0.5, 0.5)]
-
-    def utility(w, a):
-        assert len(a) == 2
-        cx, cy = centers[w]
-        return math.exp(-((a[0] - cx) ** 2 + (a[1] - cy) ** 2) / 0.045)
-
-    return WorldModel(num_worlds=3, rho=np.full(3, 1 / 3), utility=utility, action_dim=2)
+def _one_element_actions(world):
+    """``world`` as the reference sees it: each action a one-element array."""
+    return dataclasses.replace(world, utility=lambda w, a: world.utility(w, float(a[0])))
 
 
 @pytest.mark.parametrize("record_calls", [True, False])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_action_chain_matches_reference_implementation(gaussian_task, dim, record_calls):
-    # without recording, both chains call the task's own utility unwrapped
-    base = gaussian_task if dim == 1 else _plane_task()
+def test_action_chain_matches_reference_implementation(gaussian_task, record_calls):
+    # without recording, the chain calls the task's own utility unwrapped
     for seed in range(500):
         cfg = ChainConfig(
             gamma0=(0.5, 1.0, 3.0)[seed % 3],
@@ -136,19 +127,20 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
         )
         steps = (1, 7, 75, 200)[seed % 4]
         setup = make_rng(10_000 + seed)
-        w = int(setup.integers(base.num_worlds))
-        seed_action = setup.random(dim)
+        w = int(setup.integers(gaussian_task.num_worlds))
+        seed_action = setup.random(1)
         rng_ref, rng_new = make_rng(seed), make_rng(seed)
         if record_calls:
-            world_ref, calls_ref = _recording(base)
-            world_new, calls_new = _recording(base)
+            world_ref, calls_ref = _recording(gaussian_task)
+            world_new, calls_new = _recording(gaussian_task)
         else:
-            world_ref = world_new = base
+            world_ref = world_new = gaussian_task
+        world_ref = _one_element_actions(world_ref)
         ref = _reference_action_chain(world_ref, w, seed_action, cfg, steps, rng_ref)
-        got = run_action_chain(world_new, w, seed_action, cfg, steps, rng_new)
+        got = run_action_chain(world_new, w, float(seed_action[0]), cfg, steps, rng_new)
 
-        assert got.decision.dtype == ref.decision.dtype
-        assert np.array_equal(got.decision, ref.decision)
+        assert type(got.decision) is float
+        assert got.decision == float(ref.decision[0])
         assert got.decision_utility == ref.decision_utility
         assert got.seed_utility == ref.seed_utility
         assert got.acceptance_rate == ref.acceptance_rate
@@ -164,15 +156,15 @@ def test_action_chain_matches_reference_implementation(gaussian_task, dim, recor
 def test_action_chain_single_step_always_accepts(gaussian_task):
     cfg = ChainConfig(gamma0=0.0, alpha=0.0, proposal_sigma=0.1)
     world, calls = _recording(gaussian_task)
-    result = run_action_chain(world, 0, np.array([0.5]), cfg, 1, make_rng(3))
+    result = run_action_chain(world, 0, 0.5, cfg, 1, make_rng(3))
     assert result.acceptance_rate == 1.0
-    assert result.decision.tolist() == calls[1][0]
+    assert result.decision == calls[1][0]
 
 
 def test_action_chain_flat_utility_accepts_everything():
     world = WorldModel(num_worlds=1, rho=np.array([1.0]), utility=lambda w, a: 0.25)
     cfg = ChainConfig(gamma0=5.0, alpha=5.0, proposal_sigma=0.2)
-    result = run_action_chain(world, 0, np.array([0.5]), cfg, 200, make_rng(4))
+    result = run_action_chain(world, 0, 0.5, cfg, 200, make_rng(4))
     assert result.acceptance_rate == 1.0
 
 
@@ -185,53 +177,40 @@ def test_action_chain_counts_utility_calls(gaussian_task):
         return gaussian_task.utility(w, a)
 
     world = WorldModel(num_worlds=6, rho=gaussian_task.rho, utility=counting)
-    result = run_action_chain(world, 2, np.array([0.1]), ChainConfig(), 57, make_rng(5))
+    result = run_action_chain(world, 2, 0.1, ChainConfig(), 57, make_rng(5))
     assert calls == 58
     assert result.evaluations == 58
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_action_chain_never_mutates_an_action_after_the_call(gaussian_task, dim):
-    # a utility may keep every action it is handed, without copying it
-    base = gaussian_task if dim == 1 else _plane_task()
-    kept = []
-
-    def keeping(w, a):
-        kept.append((a, list(a)))
-        return base.utility(w, a)
-
-    world = WorldModel(num_worlds=base.num_worlds, rho=base.rho, utility=keeping, action_dim=dim)
-    result = run_action_chain(world, 1, np.full(dim, 0.4), ChainConfig(), 200, make_rng(9))
-    assert len(kept) == 201
-    assert len({id(a) for a, _ in kept}) == len(kept)
-    assert kept[0][0] == kept[0][1] == [0.4] * dim
-    for a, at_call in kept:
-        assert list(a) == at_call
-    # every action is a list of Python floats; [np.float64(x)] == [x] would hide numpy scalars
-    assert all(type(a) is list and len(a) == dim for a, _ in kept)
-    assert all(type(x) is float for a, _ in kept for x in a)
-    assert result.decision.tolist() in [at_call for _, at_call in kept]
+def test_action_chain_hands_the_utility_python_floats(gaussian_task):
+    # float(x) == np.float64(x), so only the type shows a numpy scalar slipping through
+    world, calls = _recording(gaussian_task)
+    result = run_action_chain(world, 1, np.float64(0.4), ChainConfig(), 200, make_rng(9))
+    assert len(calls) == 201 and calls[0][0] == 0.4
+    assert all(type(a) is float for a, _ in calls)
+    assert type(result.decision) is float
+    assert result.decision in [a for a, _ in calls]
 
 
 def test_action_chain_rejects_everything_returns_seed():
     # strictly spiked utility: every move away from the seed is downhill and
     # gamma is huge, so all proposals are rejected
     def spike(w, a):
-        return 1.0 if abs(a[0] - 0.5) < 1e-12 else 0.0
+        return 1.0 if abs(a - 0.5) < 1e-12 else 0.0
 
     world = WorldModel(num_worlds=1, rho=np.array([1.0]), utility=spike)
     cfg = ChainConfig(gamma0=1e9, alpha=0.0, proposal_sigma=0.2)
-    result = run_action_chain(world, 0, np.array([0.5]), cfg, 50, make_rng(6))
+    result = run_action_chain(world, 0, 0.5, cfg, 50, make_rng(6))
     assert result.acceptance_rate == 0.0
-    assert result.decision[0] == 0.5
+    assert result.decision == 0.5
     assert result.decision_utility == result.seed_utility == 1.0
 
 
 def test_action_chain_zero_steps_returns_seed(gaussian_task):
     rng, untouched = make_rng(8), make_rng(8)
-    result = run_action_chain(gaussian_task, 1, np.array([0.3]), ChainConfig(), 0, rng)
-    assert result.decision.tolist() == [0.3]
-    assert result.decision_utility == result.seed_utility == gaussian_task.utility(1, [0.3])
+    result = run_action_chain(gaussian_task, 1, 0.3, ChainConfig(), 0, rng)
+    assert result.decision == 0.3
+    assert result.decision_utility == result.seed_utility == gaussian_task.utility(1, 0.3)
     assert result.evaluations == 1
     assert result.acceptance_rate == 0.0
     assert rng.random() == untouched.random()
@@ -240,7 +219,7 @@ def test_action_chain_zero_steps_returns_seed(gaussian_task):
 def test_action_chain_visits_stay_inside_box(gaussian_task):
     cfg = ChainConfig(proposal_sigma=0.4)
     world, calls = _recording(gaussian_task)
-    run_action_chain(world, 0, np.array([0.02]), cfg, 500, make_rng(7))
+    run_action_chain(world, 0, 0.02, cfg, 500, make_rng(7))
     actions = np.array([a for a, _ in calls])
     assert len(actions) == 501
     assert actions.min() >= 0.0 and actions.max() <= 1.0
@@ -250,9 +229,9 @@ def test_action_chain_reproducible(gaussian_task):
     cfg = ChainConfig()
     world1, calls1 = _recording(gaussian_task)
     world2, calls2 = _recording(gaussian_task)
-    r1 = run_action_chain(world1, 3, np.array([0.4]), cfg, 80, make_rng(9))
-    r2 = run_action_chain(world2, 3, np.array([0.4]), cfg, 80, make_rng(9))
-    assert np.array_equal(r1.decision, r2.decision)
+    r1 = run_action_chain(world1, 3, 0.4, cfg, 80, make_rng(9))
+    r2 = run_action_chain(world2, 3, 0.4, cfg, 80, make_rng(9))
+    assert r1.decision == r2.decision
     assert r1.acceptance_rate == r2.acceptance_rate
     assert len(calls1) == 81 and calls1 == calls2
 
@@ -265,7 +244,7 @@ def test_action_chain_utility_grows_with_budget(gaussian_task):
         total = 0.0
         for seed in range(200):
             rng = make_rng(seed)
-            seed_action = rng.random(1)
+            seed_action = rng.random()
             w = int(rng.integers(0, 6))
             total += run_action_chain(gaussian_task, w, seed_action, cfg, n, rng).decision_utility
         means.append(total / 200)
