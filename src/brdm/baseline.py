@@ -1,9 +1,11 @@
 """Exact discrete solvers for the information-constrained decision problems.
 
 Both solvers iterate self-consistent fixed-point equations on a discretized
-action grid, in the one driver ``_iterate``, until the max-norm change across
-all updated arrays drops below ``tol``. Each equation is stated once, in the
-helper named on its right; ``_gibbs`` is the one Boltzmann normalisation:
+action grid, in the one driver ``_iterate``, until the max-norm change of the
+state drops below ``tol``. A solver's arrays are views into one flat state; a
+sweep writes the next state into a second buffer, allocated once per solve,
+and the two swap. Each equation is stated once, in the helper named on its
+right; ``_gibbs`` is the one Boltzmann normalisation:
 
 single stage   K(w,a)   = exp(beta U(w,a)) / sum_a exp(beta U(w,a))  _gibbs
                p(a|w)   = p(a) K(w,a) / sum_a p(a) K(w,a)
@@ -45,9 +47,11 @@ _MARGINAL_FLOOR = 1e-280
 _INIT_NOISE = 1e-3
 
 
-def _floor_norm(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    p = np.maximum(p, _MARGINAL_FLOOR)
-    return p / p.sum(axis=axis, keepdims=True)
+def _floor_norm(p: np.ndarray) -> np.ndarray:
+    """Floor ``p`` at _MARGINAL_FLOOR and normalise its last axis, in place."""
+    np.maximum(p, _MARGINAL_FLOOR, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p
 
 
 @dataclass(frozen=True)
@@ -168,18 +172,22 @@ def _gibbs(logits: np.ndarray) -> np.ndarray:
     return p
 
 
-def _iterate(update, state: tuple, tol: float, max_iter: int):
-    """Apply ``update`` to the array tuple ``state`` until its max-norm change is below tol.
+def _iterate(update, state: np.ndarray, tol: float, max_iter: int):
+    """Sweep ``update(old, new)``, which fills ``new``, until the max-norm change is below tol.
 
     Returns the final state, then ``converged``, the number of updates and the
     last change, in the order of the solution types' trailing fields.
     """
-    residual = np.inf
-    iteration = 0
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    new, change = np.empty_like(state), np.empty_like(state)
     for iteration in range(1, max_iter + 1):
-        new = update(state)
-        residual = max([float(np.abs(n - o).max()) for n, o in zip(new, state)])
-        state = new
+        update(state, new)
+        state, new = new, state
+        np.abs(np.subtract(state, new, out=change), out=change)
+        residual = float(np.maximum.reduce(change, axis=None))
         if residual < tol:
             return state, True, iteration, residual
     return state, False, iteration, residual
@@ -210,17 +218,15 @@ def solve_single_stage(
     if init_marginal is None:
         state[:] = 1.0 / grid_size
     else:
-        state[:] = _floor_norm(np.asarray(init_marginal, dtype=float))
+        state[:] = _floor_norm(np.array(init_marginal, dtype=float))
+    row_sums = np.empty((nw, 1))
 
-    def sweep(states):
-        (old,) = states
-        new = np.empty_like(old)
+    def sweep(old, new):
         cond = np.multiply(old[nw], kernel, out=new[:nw])
-        cond /= cond.sum(axis=1, keepdims=True)
-        new[nw] = _floor_norm(rho @ cond)
-        return (new,)
+        cond /= np.add.reduce(cond, axis=1, keepdims=True, out=row_sums)
+        _floor_norm(np.dot(rho, cond, out=new[nw]))
 
-    (state,), *status = _iterate(sweep, (state,), tol, max_iter)
+    state, *status = _iterate(sweep, state, tol, max_iter)
     return DiscretePolicy(grid, state[:nw], state[nw], *status)
 
 
@@ -288,27 +294,34 @@ def solve_two_stage(
     rho = world.rho
     nw, nx, ng = world.num_worlds, num_priors, grid_size
 
-    px_given_w = np.full((nw, nx), 1.0 / nx)
-    px = np.full(nx, 1.0 / nx)
-    pa_given_wx = np.full((nw, nx, ng), 1.0 / ng)
+    # the five arrays are views into one flat state, in TwoStageSolution's field order
+    shapes = ((nw, nx), (nx,), (nw, nx, ng), (nx, ng), (nw, nx))
+    bounds = np.cumsum([0, *(np.prod(shape) for shape in shapes)]).tolist()
+
+    def unpack(flat):
+        return [flat[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+
+    state = np.empty(bounds[-1])
+    px_given_w, px, pa_given_wx, pa_given_x, delta_f = unpack(state)
+    px_given_w[...] = px[...] = 1.0 / nx
+    pa_given_wx[...] = 1.0 / ng
     pa_given_wx *= 1.0 + _INIT_NOISE * rng.uniform(-1.0, 1.0, size=pa_given_wx.shape)
     pa_given_wx /= pa_given_wx.sum(axis=2, keepdims=True)
-    pa_given_x = _stage2_marginal(rho, px_given_w, px, pa_given_wx)
-    delta_f = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
+    pa_given_x[...] = _stage2_marginal(rho, px_given_w, px, pa_given_wx)
+    delta_f[...] = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
 
-    def sweep(state):
-        _, px, _, pa_given_x, delta_f = state
-        px_given_w = _stage1_policy(px, delta_f, beta1)
-        px = _floor_norm(rho @ px_given_w)
-        pa_given_wx = _stage2_policy(pa_given_x, table, beta2)
-        pa_given_x = _floor_norm(_stage2_marginal(rho, px_given_w, px, pa_given_wx))
-        delta_f = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
-        return px_given_w, px, pa_given_wx, pa_given_x, delta_f
+    def sweep(old, new):
+        _, px, _, pa_given_x, delta_f = unpack(old)
+        px_given_w, new_px, pa_given_wx, new_pa_given_x, new_delta_f = unpack(new)
+        px_given_w[...] = _stage1_policy(px, delta_f, beta1)
+        _floor_norm(np.dot(rho, px_given_w, out=new_px))
+        pa_given_wx[...] = _stage2_policy(pa_given_x, table, beta2)
+        new_pa_given_x[...] = _stage2_marginal(rho, px_given_w, new_px, pa_given_wx)
+        _floor_norm(new_pa_given_x)
+        new_delta_f[...] = _delta_free_energy(table, pa_given_wx, new_pa_given_x, beta2)
 
-    state, *status = _iterate(
-        sweep, (px_given_w, px, pa_given_wx, pa_given_x, delta_f), tol, max_iter
-    )
-    return TwoStageSolution(*state, beta1, beta2, grid, *status)
+    state, *status = _iterate(sweep, state, tol, max_iter)
+    return TwoStageSolution(*unpack(state), beta1, beta2, grid, *status)
 
 
 def two_stage_residuals(world: WorldModel, sol: TwoStageSolution) -> dict[str, float]:

@@ -92,8 +92,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     Every other range is checked by the domain types themselves (task spec,
     action grid, chain, selection, VAE and system configs); their
-    ValueError becomes a ConfigError. No domain type owns the frontier's
-    ``tol`` and ``max_iter``, so they are checked here. Every ``float`` and
+    ValueError becomes a ConfigError. The solvers' ``tol`` and ``max_iter``
+    are checked here too, before any output is written. Every ``float`` and
     ``tuple[float, ...]`` field must be finite first: NaN passes any range
     comparison.
     """

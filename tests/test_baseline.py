@@ -546,3 +546,76 @@ def test_solvers_reject_non_finite_beta(gaussian_task, bad):
         solve_two_stage(gaussian_task, bad, 1.0, num_priors=2)
     with pytest.raises(ValueError, match="finite"):
         solve_two_stage(gaussian_task, 1.0, bad, num_priors=2)
+
+
+# The solvers swap two state buffers once per sweep, so a cap of either parity
+# must return the buffer written last. Beta 0.1 never converges within 301.
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 301])
+def test_single_stage_matches_reference_at_odd_and_even_caps(gaussian_task, max_iter):
+    start = np.linspace(0.0, 1.0, 100)
+    for beta, init in ((0.1, None), (3.0, start)):
+        policy = solve_single_stage(gaussian_task, beta, max_iter=max_iter, init_marginal=init)
+        ref = _reference_solve_single_stage(
+            gaussian_task, beta, max_iter=max_iter, init_marginal=init
+        )
+        assert np.array_equal(policy.cond, ref[0])
+        assert np.array_equal(policy.marginal, ref[1])
+        assert (policy.converged, policy.iterations, policy.residual) == ref[2:]
+        assert (policy.converged, policy.iterations) == (False, max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 41])
+def test_two_stage_matches_reference_at_odd_and_even_caps(gaussian_task, max_iter):
+    kw = dict(beta1=10.0, beta2=10.0, num_priors=3, max_iter=max_iter)
+    sol = solve_two_stage(gaussian_task, rng=make_rng(5), **kw)
+    ref = _reference_solve_two_stage(gaussian_task, rng=make_rng(5), **kw)
+    got = (sol.px_given_w, sol.px, sol.pa_given_wx, sol.pa_given_x, sol.delta_f)
+    for new, old in zip(got, ref[:5]):
+        assert np.array_equal(new, old)
+    assert (sol.converged, sol.iterations, sol.residual) == ref[5:]
+    assert (sol.converged, sol.iterations) == (False, max_iter)
+
+
+def _snapshot(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def test_solves_never_write_into_their_inputs_or_earlier_results(gaussian_task):
+    # entry 0 lies below the marginal floor, so flooring the caller's array would show
+    start = np.linspace(0.0, 1.0, 100)
+    before = _snapshot(start)
+    first = solve_single_stage(gaussian_task, 3.0, max_iter=301, init_marginal=start)
+    assert _snapshot(start) == before
+    two = solve_two_stage(gaussian_task, 10.0, 10.0, num_priors=3, max_iter=41)
+    kept = _snapshot(first.cond, first.marginal)
+    kept_two = _snapshot(two.px_given_w, two.px, two.pa_given_wx, two.pa_given_x, two.delta_f)
+
+    # a warm start hands the earlier policy's marginal, a view of its state
+    second = solve_single_stage(gaussian_task, 5.0, max_iter=300, init_marginal=first.marginal)
+    solve_single_stage(gaussian_task, 5.0, max_iter=3, init_marginal=second.marginal)
+    solve_two_stage(gaussian_task, 10.0, 10.0, num_priors=3, max_iter=42)
+    rate_distortion_curve(gaussian_task, [0.5, 2.0], max_iter=301)
+    assert _snapshot(first.cond, first.marginal) == kept
+    assert _snapshot(
+        two.px_given_w, two.px, two.pa_given_wx, two.pa_given_x, two.delta_f
+    ) == kept_two
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_solvers_reject_a_tol_outside_the_positive_reals(gaussian_task, tol):
+    with pytest.raises(ValueError, match="tol"):
+        solve_single_stage(gaussian_task, 5.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        solve_two_stage(gaussian_task, 1.0, 1.0, num_priors=2, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rate_distortion_curve(gaussian_task, [1.0], tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_solvers_reject_a_cap_below_one_sweep(gaussian_task, max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_single_stage(gaussian_task, 5.0, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_two_stage(gaussian_task, 1.0, 1.0, num_priors=2, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        rate_distortion_curve(gaussian_task, [1.0], max_iter=max_iter)
