@@ -46,6 +46,11 @@ _MARGINAL_FLOOR = 1e-280
 # Relative amplitude of the symmetric noise on the two-stage start.
 _INIT_NOISE = 1e-3
 
+# Default solver settings: action grid size, max-norm stopping tolerance, sweep cap.
+GRID_SIZE = 100
+TOL = 1e-10
+MAX_ITER = 10_000
+
 
 def _floor_norm(p: np.ndarray) -> np.ndarray:
     """Floor ``p`` at _MARGINAL_FLOOR and normalise its last axis, in place."""
@@ -101,6 +106,16 @@ class FrontierPoint:
     mutual_info_bits: float
     expected_utility: float
     converged: bool = True
+
+
+def check_settings(betas, tol: float, max_iter: int) -> None:
+    """The solvers' setting rules: each beta finite and >= 0, tol in (0, inf), max_iter >= 1."""
+    if not all(0.0 <= b < np.inf for b in betas):
+        raise ValueError("betas must be finite and >= 0")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 def action_grid(grid_size: int) -> np.ndarray:
@@ -178,10 +193,6 @@ def _iterate(update, state: np.ndarray, tol: float, max_iter: int):
     Returns the final state, then ``converged``, the number of updates and the
     last change, in the order of the solution types' trailing fields.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     new, change = np.empty_like(state), np.empty_like(state)
     for iteration in range(1, max_iter + 1):
         update(state, new)
@@ -196,9 +207,9 @@ def _iterate(update, state: np.ndarray, tol: float, max_iter: int):
 def solve_single_stage(
     world: WorldModel,
     beta: float,
-    grid_size: int = 100,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    grid_size: int = GRID_SIZE,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
     init_marginal: np.ndarray | None = None,
 ) -> DiscretePolicy:
     """Iterate the single-stage fixed point from a uniform (or given) start.
@@ -206,19 +217,18 @@ def solve_single_stage(
     Non-convergence is not an error: the returned policy carries
     ``converged`` and the final residual, and the caller decides severity.
     """
-    if not 0.0 <= beta < np.inf:
-        raise ValueError("beta must be finite and >= 0")
+    check_settings([beta], tol, max_iter)
     grid = action_grid(grid_size)
+    start = np.ones(grid_size) if init_marginal is None else np.array(init_marginal, dtype=float)
+    if start.shape != (grid_size,):
+        raise ValueError(f"init_marginal must have shape ({grid_size},), got {start.shape}")
     rho = world.rho
     nw = world.num_worlds
 
     kernel = _gibbs(beta * utility_table(world, grid))
     # rows 0..W-1 hold p(a|w), row W holds p(a): one array, one residual
     state = np.empty((nw + 1, grid_size))
-    if init_marginal is None:
-        state[:] = 1.0 / grid_size
-    else:
-        state[:] = _floor_norm(np.array(init_marginal, dtype=float))
+    state[:] = _floor_norm(start)
     row_sums = np.empty((nw, 1))
 
     def sweep(old, new):
@@ -268,9 +278,9 @@ def solve_two_stage(
     beta1: float,
     beta2: float,
     num_priors: int,
-    grid_size: int = 100,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    grid_size: int = GRID_SIZE,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
     rng: np.random.Generator | None = None,
 ) -> TwoStageSolution:
     """Iterate the five two-stage equations in order from a near-uniform start.
@@ -280,8 +290,7 @@ def solve_two_stage(
     would never specialize. The perturbation RNG defaults to a fixed seed so
     repeated solves are bit-identical.
     """
-    if not (0.0 <= beta1 < np.inf and 0.0 <= beta2 < np.inf):
-        raise ValueError("beta1 and beta2 must be finite and >= 0")
+    check_settings([beta1, beta2], tol, max_iter)
     if num_priors < 1:
         raise ValueError("num_priors must be >= 1")
     if num_priors > world.num_worlds:
@@ -347,9 +356,9 @@ def two_stage_residuals(world: WorldModel, sol: TwoStageSolution) -> dict[str, f
 def rate_distortion_curve(
     world: WorldModel,
     betas: list[float],
-    grid_size: int = 100,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    grid_size: int = GRID_SIZE,
+    tol: float = TOL,
+    max_iter: int = MAX_ITER,
 ) -> list[FrontierPoint]:
     """One frontier point per beta, warm-starting each solve from the last."""
     betas = [float(b) for b in betas]

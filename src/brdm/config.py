@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .agents import BudgetSplit, SystemConfig
-from .baseline import action_grid
+from .baseline import GRID_SIZE, MAX_ITER, TOL, action_grid, check_settings
 from .core import GaussianTaskSpec
 from .mcmc import ChainConfig, SelectionConfig
 from .vae import VaeArch
@@ -38,11 +38,11 @@ class ExperimentConfig:
     """All experiment knobs; field names double as the config-file keys."""
 
     # task
-    num_worlds: int = 6
-    width: float = 0.1
-    means: tuple[float, ...] = ()
+    num_worlds: int = GaussianTaskSpec.num_worlds
+    width: float = GaussianTaskSpec.width
+    means: tuple[float, ...] = GaussianTaskSpec.means
     # system
-    num_priors: int = 3
+    num_priors: int = SystemConfig.num_priors
     agent_kinds: tuple[str, ...] = AGENT_KINDS
     total_steps: tuple[int, ...] = (100,)
     selection_steps: tuple[int, ...] = ()
@@ -50,24 +50,24 @@ class ExperimentConfig:
     episodes: int = 5000
     replicates: int = 1
     # exact solver / frontier
-    grid_size: int = 100
+    grid_size: int = GRID_SIZE
     betas: tuple[float, ...] = field(default_factory=_default_betas)
-    tol: float = 1e-10
-    max_iter: int = 10_000
+    tol: float = TOL
+    max_iter: int = MAX_ITER
     # chains
-    gamma0: float = 1.0
-    alpha: float = 5.0
-    proposal_sigma: float = 0.1
-    gamma_sel0: float = 1.0
-    alpha_sel: float = 5.0
-    utility_samples: int = 3
+    gamma0: float = ChainConfig.gamma0
+    alpha: float = ChainConfig.alpha
+    proposal_sigma: float = ChainConfig.proposal_sigma
+    gamma_sel0: float = SelectionConfig.gamma_sel0
+    alpha_sel: float = SelectionConfig.alpha_sel
+    utility_samples: int = SelectionConfig.utility_samples
     # vae
-    hidden_dim: int = 16
-    latent_dim: int = 2
-    decoder_variance: float = 0.01
-    step_size: float = 0.01
-    buffer_size: int = 256
-    batch_size: int = 32
+    hidden_dim: int = VaeArch.hidden_dim
+    latent_dim: int = VaeArch.latent_dim
+    decoder_variance: float = VaeArch.decoder_variance
+    step_size: float = SystemConfig.step_size
+    buffer_size: int = SystemConfig.buffer_size
+    batch_size: int = SystemConfig.batch_size
     # measurement and io
     summary_window: float = 0.1
     mi_bins: int = 100
@@ -88,14 +88,12 @@ _PARSERS = {key: _parser(hint) for key, hint in _HINTS.items()}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Sweep-level, frontier and cross-field checks, then build what the config describes.
+    """Sweep-level and cross-field checks, then build what the config describes.
 
-    Every other range is checked by the domain types themselves (task spec,
-    action grid, chain, selection, VAE and system configs); their
-    ValueError becomes a ConfigError. The solvers' ``tol`` and ``max_iter``
-    are checked here too, before any output is written. Every ``float`` and
-    ``tuple[float, ...]`` field must be finite first: NaN passes any range
-    comparison.
+    Every other range is checked where it is used, by the domain types and by
+    the solvers' ``check_settings``; their ValueError becomes a ConfigError
+    before any output is written. Every float field must be finite first:
+    NaN passes any range comparison.
     """
     for key, hint in _HINTS.items():
         if float in (hint, *get_args(hint)):
@@ -123,12 +121,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("episodes and replicates must be >= 1")
     if not cfg.betas:
         raise ConfigError("betas must not be empty")
-    if min(cfg.betas) < 0.0:
-        raise ConfigError("betas must be >= 0")
-    if not cfg.tol > 0.0:
-        raise ConfigError("tol must be positive")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
     if not 0.0 < cfg.summary_window <= 1.0:
         raise ConfigError("summary_window must lie in (0, 1]")
     if cfg.mi_bins < 1:
@@ -138,6 +130,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     try:
         task_spec(cfg)
         action_grid(cfg.grid_size)
+        check_settings(cfg.betas, cfg.tol, cfg.max_iter)
         # each cell's BudgetSplit is valid once the step checks above pass
         system_config(cfg, "multi", BudgetSplit())
     except ValueError as exc:

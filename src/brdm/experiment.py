@@ -189,9 +189,7 @@ def write_summary_csv(rows: Sequence[SummaryRow], out: IO[str]) -> None:
 
 def compute_frontier(cfg: ExperimentConfig) -> list[FrontierPoint]:
     world = make_gaussian_task(task_spec(cfg))
-    return rate_distortion_curve(
-        world, list(cfg.betas), grid_size=cfg.grid_size, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    return rate_distortion_curve(world, cfg.betas, cfg.grid_size, cfg.tol, cfg.max_iter)
 
 
 def write_frontier_csv(points: Sequence[FrontierPoint], out: IO[str]) -> None:

@@ -611,6 +611,13 @@ def test_solvers_reject_a_tol_outside_the_positive_reals(gaussian_task, tol):
         rate_distortion_curve(gaussian_task, [1.0], tol=tol)
 
 
+@pytest.mark.parametrize("shape", [(1,), (99,), (101,), (7, 100)])
+def test_single_stage_rejects_a_start_of_the_wrong_shape(gaussian_task, shape):
+    # the grid has 100 points; (7, 100) is the shape of the whole state at six worlds
+    with pytest.raises(ValueError, match="init_marginal"):
+        solve_single_stage(gaussian_task, 1.0, init_marginal=np.full(shape, 0.01))
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_solvers_reject_a_cap_below_one_sweep(gaussian_task, max_iter):
     with pytest.raises(ValueError, match="max_iter"):

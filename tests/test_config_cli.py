@@ -537,7 +537,12 @@ REJECTED_VALUES = [
     "means = nan, 0.3, 0.5, 0.7, 0.8, 0.9",
     "tol = 0",
     "tol = -1",
+    "tol = nan",
+    "tol = inf",
     "max_iter = 0",
+    "max_iter = -1",
+    "betas = 0.5, nan",
+    "betas = -0.1, 1",
     "seed = -1",
     "out = elsewhere",
 ]

@@ -304,6 +304,38 @@ def test_neighbor_chain_stationary_distribution():
     assert tv < 0.05
 
 
+def _chi2(counts, law):
+    expected = counts.sum() * law
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_action_chain_samples_its_stationary_law(gaussian_task):
+    # at a fixed precision the reflected symmetric proposal leaves exp(gamma U) invariant;
+    # at the default proposal_sigma of 0.1, 200 steps from uniform seeds are not yet mixed
+    gamma, steps, chains, bins, sub = 4.0, 200, 20_000, 100, 100
+    cfg = ChainConfig(gamma0=gamma, alpha=0.0, proposal_sigma=0.2)
+    rng = make_rng(1301)
+    seeds = rng.random(chains).tolist()
+    finals = [run_action_chain(gaussian_task, 0, a, cfg, steps, rng).decision for a in seeds]
+    counts = np.histogram(finals, bins=bins, range=(0.0, 1.0))[0]
+    # midpoint quadrature of the density, sub points per bin
+    points = ((np.arange(bins * sub) + 0.5) / (bins * sub)).tolist()
+    density = np.exp([gamma * gaussian_task.utility(0, a) for a in points])
+    law = density.reshape(bins, sub).sum(axis=1) / density.sum()
+    assert _chi2(counts, law) < 134.64  # p = 0.01 critical value, 99 dof
+
+
+def test_selection_chain_samples_its_stationary_law():
+    # uniform global proposals leave exp(gamma est) invariant at a fixed precision
+    est, gamma, steps, runs = [0.2, 0.5, 0.9, 0.55], 10.0, 50, 20_000
+    cfg = SelectionConfig(gamma_sel0=gamma, alpha_sel=0.0)
+    rng = make_rng(1302)
+    px = np.full(4, 0.25)
+    picks = [run_selection_chain(est, px, cfg, steps, rng) for _ in range(runs)]
+    law = np.exp(gamma * np.array(est))
+    assert _chi2(np.bincount(picks, minlength=4), law / law.sum()) < 11.34  # p = 0.01, 3 dof
+
+
 def test_selection_chain_single_candidate():
     cfg = SelectionConfig()
     assert run_selection_chain([0.7], np.array([1.0]), cfg, 10, make_rng(0)) == 0
