@@ -27,8 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .baseline import mutual_information
 from .core import WorldModel
-from .mcmc import ChainConfig, SelectionConfig, draw_index, run_action_chain, run_selection_chain
+from .mcmc import (
+    ChainConfig, SelectionConfig, draw_index, inverse_cdf, run_action_chain, run_selection_chain
+)
 from .vae import VaeArch, VaePrior, init_vae, param_count, sample_action, sample_actions, train_step
 
 
@@ -150,18 +153,14 @@ class DecisionSystem:
         self._stack = VaePrior(cfg.vae, bank)
         self.buffers = [_RingBuffer(cfg.buffer_size) for _ in range(cfg.num_priors)]
         self.multinomial = MultinomialPrior(np.zeros(cfg.num_priors, dtype=np.int64))
-        # The running sum can end below 1 by rounding, and a uniform above it
-        # would pick past the last world: the entries that reach the total
-        # become inf, which moves no pick below the total.
-        cum = np.cumsum(world.rho).tolist()
-        self._rho_cum = [math.inf if c == cum[-1] else c for c in cum]
+        self._rho_cdf = inverse_cdf(world.rho.tolist())
         self._select = cfg.num_priors > 1 and cfg.budget.selection_steps > 0
         self._expected_evals = cfg.budget.action_steps + 1
         if self._select:
             self._expected_evals += cfg.selection.utility_samples * cfg.num_priors
 
     def draw_world(self) -> int:
-        return bisect_right(self._rho_cum, self.rng.random())
+        return bisect_right(self._rho_cdf, self.rng.random())
 
     def run_episode(self, w: int) -> EpisodeRecord:
         """One decision episode for world ``w``; updates buffers and counts.
@@ -238,7 +237,7 @@ def empirical_expected_utility(records: Sequence[EpisodeRecord]) -> float:
 
 
 def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int) -> float:
-    """Plug-in I(W;A) in bits from decisions histogrammed into equal slices."""
+    """Plug-in I(W;A) in bits: ``mutual_information`` of decisions binned into equal slices."""
     if not records:
         raise ValueError("empty episode log")
     if bins < 1:
@@ -249,14 +248,9 @@ def empirical_mutual_information(records: Sequence[EpisodeRecord], bins: int) ->
         raise ValueError(
             "non-finite decisions in the episode log (diverged VAE weights; lower step_size)"
         )
-    num_worlds = int(worlds.max()) + 1
-    slot = np.minimum((decisions * bins).astype(int), bins - 1)
-    joint = np.zeros((num_worlds, bins))
-    np.add.at(joint, (worlds, slot), 1.0)
-    joint /= joint.sum()
-    pw = joint.sum(axis=1, keepdims=True)
-    pa = joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(joint > 0.0, joint * np.log2(joint / (pw * pa)), 0.0)
-    # I(W;A) >= 0; the sum rounds a hair below zero when decisions and worlds are independent
-    return max(float(terms.sum()), 0.0)
+    # only the worlds an episode drew get a row: an empty p(a|w) row would put NaN in the marginal
+    seen, row = np.unique(worlds, return_inverse=True)
+    counts = np.zeros((seen.size, bins))
+    np.add.at(counts, (row, np.minimum((decisions * bins).astype(int), bins - 1)), 1.0)
+    row_counts = counts.sum(axis=1, keepdims=True)
+    return mutual_information(row_counts[:, 0] / len(records), counts / row_counts)

@@ -222,6 +222,8 @@ def solve_single_stage(
     start = np.ones(grid_size) if init_marginal is None else np.array(init_marginal, dtype=float)
     if start.shape != (grid_size,):
         raise ValueError(f"init_marginal must have shape ({grid_size},), got {start.shape}")
+    if not ((start >= 0.0).all() and 0.0 < start.sum() < np.inf):
+        raise ValueError("init_marginal must be finite and >= 0, with a positive sum")
     rho = world.rho
     nw = world.num_worlds
 

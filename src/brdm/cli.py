@@ -27,10 +27,9 @@ from .experiment import (
     write_summary_csv,
 )
 from .plotting import (
-    DELTA_FIGURE,
-    FRONTIER_FIGURE,
     PLOT_DATA_NAME,
     PLOT_SCRIPT_NAME,
+    figure_names,
     generate_plot_script,
     render_plot_script,
 )
@@ -139,7 +138,7 @@ def cmd_plot(
     bundle = {
         "frontier": [list(r) for r in frontier_rows],
         "summary": [list(r) for r in summary_rows],
-        "figures": [FRONTIER_FIGURE] + ([DELTA_FIGURE] if summary_rows else []),
+        "figures": figure_names(summary_rows),
     }
     (out / PLOT_DATA_NAME).write_text(
         json.dumps(bundle, indent=2, sort_keys=True) + "\n"

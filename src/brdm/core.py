@@ -74,8 +74,9 @@ class GaussianTaskSpec:
     def __post_init__(self):
         if self.num_worlds < 1:
             raise ValueError("num_worlds must be positive")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError("width must be positive and finite")
+        # the utility divides by 2 width^2, which must not underflow to 0
+        if not (0.0 < self.width < math.inf and 2.0 * self.width * self.width > 0.0):
+            raise ValueError("width must be positive and finite, with 2 width^2 above 0")
         means = self.means
         if len(means) == 0:
             means = tuple((i + 0.5) / self.num_worlds for i in range(self.num_worlds))

@@ -135,19 +135,24 @@ def run_action_chain(
     )
 
 
-def draw_index(px: Sequence[float], rng: np.random.Generator) -> int:
-    """Index drawn with probabilities ``px`` from one uniform.
+def inverse_cdf(px: Sequence[float]) -> list[float]:
+    """Running sums of ``px`` over their total, which must be positive and finite.
 
-    The same index as ``rng.choice(len(px), p=px)``, which leaves the
-    generator in the same state, without that call's argument checks: the
-    running sums are normalized by their last entry, as ``rng.choice``
-    does. Raises ``ValueError`` unless that total is positive and finite.
+    ``rng.choice`` normalizes the same way. The last entry is exactly 1.0, so
+    bisecting a uniform in [0, 1) never passes the last index.
     """
     cdf = list(accumulate(px))
-    total = cdf[-1]
-    if not 0.0 < total < math.inf:
-        raise ValueError(f"selection probabilities must have a positive finite sum, not {total}")
-    return bisect_right([c / total for c in cdf], rng.random())
+    if not 0.0 < cdf[-1] < math.inf:
+        raise ValueError(f"probabilities must have a positive finite sum, not {cdf[-1]}")
+    return [c / cdf[-1] for c in cdf]
+
+
+def draw_index(px: Sequence[float], rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(px), p=px)`` draws, from the same one uniform.
+
+    It leaves the generator in the same state, without that call's argument checks.
+    """
+    return bisect_right(inverse_cdf(px), rng.random())
 
 
 def run_selection_chain(

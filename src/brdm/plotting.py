@@ -15,8 +15,6 @@ import importlib.util
 from pathlib import Path
 from typing import Sequence
 
-FRONTIER_FIGURE = "efficiency_frontier.png"
-DELTA_FIGURE = "delta_u_vs_budget.png"
 PLOT_SCRIPT_NAME = "plot_figures.py"
 PLOT_DATA_NAME = "plot_data.json"
 
@@ -32,9 +30,9 @@ import matplotlib.pyplot as plt
 OUT_DIR = os.path.dirname(os.path.abspath(__file__))
 '''
 
-_FRONTIER_PANEL = '''
-def plot_frontier():
-    fig, ax = plt.subplots(figsize=(6.0, 4.0))
+# figure file: (drawing function, the lines between the ones every panel shares), drawn in order
+_PANELS = {
+    "efficiency_frontier.png": ("plot_frontier", '''
     mi = [row[1] for row in FRONTIER]
     eu = [row[2] for row in FRONTIER]
     ax.plot(mi, eu, color="black", lw=1.5, label="efficiency frontier")
@@ -62,14 +60,8 @@ def plot_frontier():
     ax.set_xlabel("I(W;A) [bits]")
     ax.set_ylabel("expected utility")
     ax.legend(loc="lower right", fontsize=8)
-    fig.tight_layout()
-    fig.savefig(os.path.join(OUT_DIR, "efficiency_frontier.png"), dpi=150)
-    plt.close(fig)
-'''
-
-_DELTA_PANEL = '''
-def plot_delta_u():
-    fig, ax = plt.subplots(figsize=(6.0, 4.0))
+'''),
+    "delta_u_vs_budget.png": ("plot_delta_u", '''
     for kind, color in (("single", "tab:orange"), ("multi", "tab:blue")):
         rows = [r for r in SUMMARY if r[0] == kind]
         totals = sorted({r[1] for r in rows})
@@ -87,10 +79,13 @@ def plot_delta_u():
     ax.set_xlabel("total MCMC steps")
     ax.set_ylabel("utility gained by the action chain")
     ax.legend(loc="best", fontsize=8)
-    fig.tight_layout()
-    fig.savefig(os.path.join(OUT_DIR, "delta_u_vs_budget.png"), dpi=150)
-    plt.close(fig)
-'''
+'''),
+}
+
+
+def figure_names(summary_rows: Sequence[tuple]) -> list[str]:
+    """The figures a plot script draws: the utility-gain panel only when the summary has rows."""
+    return list(_PANELS)[: 2 if summary_rows else 1]
 
 
 def generate_plot_script(
@@ -100,12 +95,17 @@ def generate_plot_script(
     parts = [_SCRIPT_PREAMBLE]
     for name, rows in (("FRONTIER", frontier_rows), ("SUMMARY", summary_rows)):
         parts += [f"\n{name} = [\n", *(f"    {tuple(row)!r},\n" for row in rows), "]\n"]
-    parts.append(_FRONTIER_PANEL)
-    if summary_rows:
-        parts.append(_DELTA_PANEL)
-    parts.append('\nif __name__ == "__main__":\n    plot_frontier()\n')
-    if summary_rows:
-        parts.append("    plot_delta_u()\n")
+    figures = figure_names(summary_rows)
+    for figure in figures:
+        function, body = _PANELS[figure]
+        parts += [
+            f"\ndef {function}():\n    fig, ax = plt.subplots(figsize=(6.0, 4.0))",
+            body,
+            f'    fig.tight_layout()\n    fig.savefig(os.path.join(OUT_DIR, "{figure}"), dpi=150)\n',
+            "    plt.close(fig)\n",
+        ]
+    parts.append('\nif __name__ == "__main__":\n')
+    parts += [f"    {_PANELS[figure][0]}()\n" for figure in figures]
     return "".join(parts)
 
 

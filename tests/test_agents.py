@@ -17,6 +17,7 @@ from brdm.agents import (
 from brdm.baseline import expected_utility, mutual_information, solve_single_stage
 from brdm.core import WorldModel, make_rng
 from brdm.experiment import EPISODE_CSV_HEADER, write_episode_csv
+from brdm.mcmc import draw_index
 from brdm.vae import VaeArch, zero_vae
 
 
@@ -168,6 +169,22 @@ def test_empirical_mi_degenerate_and_identity():
     assert empirical_mutual_information(one_slot, 1) == 0.0
 
 
+def test_empirical_mi_is_the_frontier_mi_of_the_binned_joint():
+    # world 2 of 5 is never drawn; the drawn worlds' decisions overlap in slot 1
+    cells = {(0, 0.05): 7, (0, 0.15): 3, (1, 0.15): 5, (1, 0.75): 9, (3, 0.95): 4, (4, 0.15): 2}
+    records = [
+        EpisodeRecord(w, 0, 0.5, a, 1.0, 1.0, 1) for (w, a), n in cells.items() for _ in range(n)
+    ]
+    joint = np.zeros((5, 10))
+    for (w, a), n in cells.items():
+        joint[w, int(a * 10)] = n
+    drawn = joint[joint.sum(axis=1) > 0.0]
+    rows = drawn.sum(axis=1)
+    expected = mutual_information(rows / rows.sum(), drawn / rows[:, None])
+    assert empirical_mutual_information(records, 10) == expected
+    assert 0.0 < expected < math.log2(4)
+
+
 def test_empirical_mi_matches_known_channel(gaussian_task):
     policy = solve_single_stage(gaussian_task, 20.0)
     exact_mi = mutual_information(gaussian_task.rho, policy.cond)
@@ -239,6 +256,21 @@ def test_draw_world_matches_reference_implementation(rho):
         assert a.random() == b.random()
         picked.add(w)
     assert picked == {w for w in range(len(rho)) if rho[w] > 0.0}
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.full(6, 1 / 6), np.array([0.05, 0.0, 0.4, 0.25, 0.3]), np.array([0.3, 0.7, 0.0, 0.0])],
+    ids=["uniform", "skewed", "trailing_zeros"],
+)
+def test_draw_world_is_draw_index_over_rho(rho):
+    world = WorldModel(num_worlds=len(rho), rho=rho, utility=lambda w, a: 0.0)
+    system = DecisionSystem(world, SystemConfig(num_priors=1), make_rng(0))
+    for seed in range(1000):
+        a, b = make_rng(seed), make_rng(seed)
+        system.rng = a
+        assert system.draw_world() == draw_index(rho, b)
+        assert a.random() == b.random()
 
 
 class _LargestUniform:

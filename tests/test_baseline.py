@@ -15,7 +15,7 @@ from brdm.baseline import (
     two_stage_residuals,
     utility_table,
 )
-from brdm.core import GaussianTaskSpec, make_gaussian_task, make_rng
+from brdm.core import GaussianTaskSpec, WorldModel, make_gaussian_task, make_rng
 
 from conftest import make_tabular_world
 
@@ -616,6 +616,28 @@ def test_single_stage_rejects_a_start_of_the_wrong_shape(gaussian_task, shape):
     # the grid has 100 points; (7, 100) is the shape of the whole state at six worlds
     with pytest.raises(ValueError, match="init_marginal"):
         solve_single_stage(gaussian_task, 1.0, init_marginal=np.full(shape, 0.01))
+
+
+def _unevaluated_utility(w, a):
+    raise AssertionError("the utility table was built before the start was checked")
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        np.full(100, math.nan),
+        np.append(np.full(99, 0.01), math.inf),
+        np.full(100, -0.01),
+        np.append(np.full(99, 0.01), -0.01),
+        np.zeros(100),
+    ],
+    ids=["nan", "inf", "all_negative", "one_negative", "all_zero"],
+)
+def test_single_stage_rejects_a_start_that_is_no_distribution(start):
+    # an all-NaN start ran every sweep; negative and all-zero starts were floored to uniform
+    world = WorldModel(num_worlds=6, rho=np.full(6, 1 / 6), utility=_unevaluated_utility)
+    with pytest.raises(ValueError, match="init_marginal"):
+        solve_single_stage(world, 1.0, init_marginal=start)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

@@ -545,6 +545,21 @@ REJECTED_VALUES = [
     "betas = -0.1, 1",
     "seed = -1",
     "out = elsewhere",
+    "width = 1e-200",
+    "total_steps = 0",
+    "total_steps =",
+    "selection_steps = -1",
+    "selection_fraction = 1",
+    "selection_fraction = -0.5",
+    "episodes = 0",
+    "replicates = 0",
+    "agent_kinds = bogus",
+    "agent_kinds =",
+    "betas =",
+    "summary_window = 0",
+    "summary_window = 1.5",
+    "mi_bins = 0",
+    "workers = -1",
 ]
 
 

@@ -51,6 +51,7 @@ def test_gaussian_argmax_on_fine_grid(gaussian_task):
         dict(means=(0.2, 0.1, 0.3, 0.4, 0.5, 0.6)),
         dict(means=(0.1, 0.2, 0.3, 0.4, 0.5, 1.2)),
         dict(num_worlds=0),
+        dict(width=1e-200),  # 2 width^2 underflows to 0.0, which the utility divides by
     ],
 )
 def test_spec_validation_errors(bad):
