@@ -2,10 +2,12 @@
 
 Both solvers iterate self-consistent fixed-point equations on a discretized
 action grid, in the one driver ``_iterate``, until the max-norm change of the
-state drops below ``tol``. A solver's arrays are views into one flat state; a
-sweep writes the next state into a second buffer, allocated once per solve,
-and the two swap. Each equation is stated once, in the helper named on its
-right; ``_gibbs`` is the one Boltzmann normalisation:
+state drops below ``tol``. A solver's arrays are views into one flat state.
+Sweeps run in blocks: each writes the next state into the next slot of one
+buffer, allocated once per solve, and one vectorised check per block finds
+the first sweep whose change fell below ``tol``. Each equation is stated
+once, in the helper named on its right; ``_gibbs`` is the one Boltzmann
+normalisation:
 
 single stage   K(w,a)   = exp(beta U(w,a)) / sum_a exp(beta U(w,a))  _gibbs
                p(a|w)   = p(a) K(w,a) / sum_a p(a) K(w,a)
@@ -46,6 +48,10 @@ _MARGINAL_FLOOR = 1e-280
 # Relative amplitude of the symmetric noise on the two-stage start.
 _INIT_NOISE = 1e-3
 
+# State elements per block of sweeps: a block is at most 64 sweeps, fewer when
+# the state is large, and a single sweep once one state exceeds the budget.
+_BLOCK_ELEMENTS = 2**16
+
 # Default solver settings: action grid size, max-norm stopping tolerance, sweep cap.
 GRID_SIZE = 100
 TOL = 1e-10
@@ -55,7 +61,8 @@ MAX_ITER = 10_000
 def _floor_norm(p: np.ndarray) -> np.ndarray:
     """Floor ``p`` at _MARGINAL_FLOOR and normalise its last axis, in place."""
     np.maximum(p, _MARGINAL_FLOOR, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    # a 1-D p divides by a scalar sum: the same bits, at less cost per sweep
+    p /= np.add.reduce(p, axis=-1, keepdims=p.ndim > 1)
     return p
 
 
@@ -190,18 +197,35 @@ def _gibbs(logits: np.ndarray) -> np.ndarray:
 def _iterate(update, state: np.ndarray, tol: float, max_iter: int):
     """Sweep ``update(old, new)``, which fills ``new``, until the max-norm change is below tol.
 
-    Returns the final state, then ``converged``, the number of updates and the
-    last change, in the order of the solution types' trailing fields.
+    The sweeps of a block fill consecutive slots of one buffer; one subtract,
+    abs and max then give all of the block's changes. These are exact, so the
+    first change below tol picks the same sweep and state as a check after
+    every sweep would. A NaN change never passes.
+
+    Returns a copy of the final state, then ``converged``, the number of
+    updates and the last change, in the order of the solution types' trailing
+    fields.
     """
-    new, change = np.empty_like(state), np.empty_like(state)
-    for iteration in range(1, max_iter + 1):
-        update(state, new)
-        state, new = new, state
-        np.abs(np.subtract(state, new, out=change), out=change)
-        residual = float(np.maximum.reduce(change, axis=None))
-        if residual < tol:
-            return state, True, iteration, residual
-    return state, False, iteration, residual
+    block = max(1, min(64, _BLOCK_ELEMENTS // state.size))
+    buffer = np.empty((block + 1, *state.shape))
+    flat = buffer.reshape(block + 1, -1)
+    slots = list(buffer)
+    changes = np.empty((block, state.size))
+    buffer[0] = state
+    done = 0
+    while done < max_iter:
+        count = min(block, max_iter - done)
+        for k in range(count):
+            update(slots[k], slots[k + 1])
+        change = np.subtract(flat[1 : count + 1], flat[:count], out=changes[:count])
+        residuals = np.maximum.reduce(np.abs(change, out=change), axis=1)
+        below = np.flatnonzero(residuals < tol)
+        if below.size:
+            k = int(below[0])
+            return buffer[k + 1].copy(), True, done + k + 1, float(residuals[k])
+        done += count
+        buffer[0] = buffer[count]
+    return buffer[0].copy(), False, done, float(residuals[-1])
 
 
 def solve_single_stage(

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from brdm.baseline import (
+    _BLOCK_ELEMENTS,
+    _iterate,
     action_grid,
     expected_utility,
     free_energy,
@@ -648,3 +651,89 @@ def test_solvers_reject_a_cap_below_one_sweep(gaussian_task, max_iter):
         solve_two_stage(gaussian_task, 1.0, 1.0, num_priors=2, max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter"):
         rate_distortion_curve(gaussian_task, [1.0], max_iter=max_iter)
+
+
+# A state of _EDGE_SHAPE gets blocks of _EDGE_BLOCK sweeps under the solvers'
+# element budget, so the scripted solves below end on both sides of a block edge.
+_EDGE_BLOCK = 8
+_EDGE_SHAPE = (4, _BLOCK_ELEMENTS // (4 * _EDGE_BLOCK))
+
+
+def _scripted_update(steps):
+    """A sweep that copies the state and moves entry 0 by the next scripted step.
+
+    Past the end of the script the last step repeats. ``calls`` counts the sweeps run.
+    """
+    calls = [0]
+
+    def update(old, new):
+        new[...] = old
+        new.flat[0] += steps[min(calls[0], len(steps) - 1)]
+        calls[0] += 1
+
+    return update, calls
+
+
+def _checked_every_sweep(update, state, tol, max_iter):
+    """The plain per-sweep loop: two buffers that swap, one check after each sweep."""
+    state, new = state.copy(), np.empty_like(state)
+    for iteration in range(1, max_iter + 1):
+        update(state, new)
+        state, new = new, state
+        residual = float(np.abs(state - new).max())
+        if residual < tol:
+            return state, True, iteration, residual
+    return state, False, iteration, residual
+
+
+def _first_below_at(sweep):
+    """Steps of 1e-3 whose change first falls below 1e-10 at ``sweep``, then stays there."""
+    return [1e-3] * (sweep - 1) + [1e-12]
+
+
+# sweep counts on both sides of the first and second block edges
+_EDGES = (1, _EDGE_BLOCK - 1, _EDGE_BLOCK, _EDGE_BLOCK + 1, 2 * _EDGE_BLOCK + 1)
+_EDGE_SCRIPTS = {
+    **{f"first_below_at_{n}": _first_below_at(n) for n in _EDGES},
+    # within one block, sweep 3 passes first and sweep 5 with the smaller change must lose
+    "non_monotone": [1e-3, 1e-3, 1e-11, 1e-3, 1e-13, 1e-3],
+    "never_below": [1e-3],
+    "nan": [math.nan],
+}
+
+
+@pytest.mark.parametrize("max_iter", [*_EDGES, 4 * _EDGE_BLOCK])
+@pytest.mark.parametrize("script", list(_EDGE_SCRIPTS))
+def test_iterate_matches_a_check_after_every_sweep_at_the_block_edges(script, max_iter):
+    start = np.linspace(0.0, 1.0, math.prod(_EDGE_SHAPE)).reshape(_EDGE_SHAPE)
+    update, calls = _scripted_update(_EDGE_SCRIPTS[script])
+    got, converged, iterations, residual = _iterate(update, start, 1e-10, max_iter)
+    ref_update, _ = _scripted_update(_EDGE_SCRIPTS[script])
+    ref = _checked_every_sweep(ref_update, start, 1e-10, max_iter)
+
+    assert got.tobytes() == ref[0].tobytes() and got.shape == _EDGE_SHAPE
+    assert (converged, iterations) == ref[1:3]
+    assert residual == ref[3] or math.isnan(residual) and math.isnan(ref[3])
+    assert got.flags.owndata
+    if script == "nan":
+        assert (converged, iterations) == (False, max_iter)
+    # a solve runs whole blocks, truncated at the cap
+    assert calls[0] == min(max_iter, -(-iterations // _EDGE_BLOCK) * _EDGE_BLOCK)
+
+
+def _peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_buffers_stay_within_the_element_budget(gaussian_task):
+    # With one check per sweep the 20000-point solve peaked at 4.4 MiB. Above the
+    # budget a block is one sweep (6.6 MiB); 64-sweep blocks would need 140 MiB.
+    # At the default grid the 64-sweep blocks take about 0.7 MiB.
+    assert _peak_mib(lambda: solve_single_stage(gaussian_task, 1.0, grid_size=20_000,
+                                                max_iter=3)) < 10.0
+    assert _peak_mib(lambda: solve_single_stage(gaussian_task, 1.0, max_iter=3)) <= 1.0

@@ -53,10 +53,21 @@ def test_sweep_logs_match_recorded_digests(tmp_path):
 
 
 # frontier.csv of `brdm baseline` at the default config, and with max_iter = 50,
-# where no point converges and the optional `converged` column appears.
+# where no point converges and the optional `converged` column appears. The
+# solvers sweep in blocks of up to 64 at the default grid, so caps of 63, 64,
+# 65 and 129 end a solve on both sides of a block edge; at 129 the high betas
+# converge inside a block. At grid_size = 2000 the blocks are 4 sweeps long,
+# and the cap of 301 leaves both converged and capped points.
 FRONTIER_DIGESTS = {
     "": "a6236ade2585560063f41c6084c6cdb1e3b2caf6c01299b7915daa776d95f058",
     "max_iter = 50\n": "854a9a79b4d049f62d93871efa368af366cb27d7826a5bf0b57a9b354edf31cb",
+    "max_iter = 63\n": "e561d5608aac695ebbc332bf341afaedf93bba57e1fa467bf59bd72d59c2789a",
+    "max_iter = 64\n": "f42e58b7ac1edb13d45fe049339debe3cf06b581beae33a2a9a39d6059143402",
+    "max_iter = 65\n": "c16048271942ae60bbfec856e846339e80753d9dbfe60d446ea6f81218dc3ee1",
+    "max_iter = 129\n": "87a0a6e5a8de3f4276504e778de5d3eb1f24d7ef79d7e21a008c189681e52618",
+    "grid_size = 2000\nmax_iter = 301\n": (
+        "29210501e4f3b497b1bb5dced88e9e4ae65cfd23c7a7cabc39b688235e490635"
+    ),
 }
 
 

@@ -7,7 +7,10 @@ inputs come from this checkout and are the same for both trees:
 - the three workload configs of ``bench/workloads.py``, at each seed given;
 - the sweep config of ``tests/test_log_digests.py``, at its own seed;
 - ``brdm run`` and ``brdm baseline`` at their defaults, then
-  ``brdm plot --no-render`` on those two outputs.
+  ``brdm plot --no-render`` on those two outputs;
+- ``brdm baseline`` capped at 50 sweeps, where no point converges and
+  frontier.csv gains its ``converged`` column, and at a 2000-point grid,
+  where the exact solvers check fewer sweeps per block.
 
 Run from the repository root, with each tree a directory holding ``src/brdm``:
 
@@ -48,6 +51,8 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
         ("digest_sweep", "run", DIGEST_CONFIG),
         ("default_run", "run", None),
         ("default_baseline", "baseline", None),
+        ("capped_baseline", "baseline", "max_iter = 50\n"),
+        ("fine_grid_baseline", "baseline", "grid_size = 2000\n"),
     ]
 
 
