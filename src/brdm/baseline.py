@@ -3,11 +3,14 @@
 Both solvers iterate self-consistent fixed-point equations on a discretized
 action grid, in the one driver ``_iterate``, until the max-norm change of the
 state drops below ``tol``. A solver's arrays are views into one flat state.
-Sweeps run in blocks: each writes the next state into the next slot of one
-buffer, allocated once per solve, and one vectorised check per block finds
-the first sweep whose change fell below ``tol``. Each equation is stated
-once, in the helper named on its right; ``_gibbs`` is the one Boltzmann
-normalisation:
+Sweeps run in blocks of 1, 2, 4, ... up to an element budget: each writes
+the next state into the next slot of one buffer, allocated once per solve.
+The solver binds each slot's views once per solve, and one Python call runs
+a whole block of sweeps into them. One vectorised check per block then finds
+the first sweep whose change fell below ``tol``; a block in which one probe
+entry's change stays at or above ``tol`` cannot hold that sweep, and skips
+the check. Each equation is stated once, in the helper named on its right;
+``_gibbs`` is the one Boltzmann normalisation:
 
 single stage   K(w,a)   = exp(beta U(w,a)) / sum_a exp(beta U(w,a))  _gibbs
                p(a|w)   = p(a) K(w,a) / sum_a p(a) K(w,a)
@@ -48,8 +51,9 @@ _MARGINAL_FLOOR = 1e-280
 # Relative amplitude of the symmetric noise on the two-stage start.
 _INIT_NOISE = 1e-3
 
-# State elements per block of sweeps: a block is at most 64 sweeps, fewer when
-# the state is large, and a single sweep once one state exceeds the budget.
+# State elements per block of sweeps: blocks double from one sweep up to 64,
+# fewer when the state is large, and stay a single sweep once one state
+# exceeds the budget.
 _BLOCK_ELEMENTS = 2**16
 
 # Default solver settings: action grid size, max-norm stopping tolerance, sweep cap.
@@ -187,44 +191,54 @@ def free_energy(world: WorldModel, policy: DiscretePolicy, beta: float) -> float
 
 
 def _gibbs(logits: np.ndarray) -> np.ndarray:
-    """exp(logits) normalised along the last axis; shifts ``logits`` in place."""
+    """exp(logits) normalised along the last axis, in place."""
     logits -= logits.max(axis=-1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def _iterate(update, state: np.ndarray, tol: float, max_iter: int):
-    """Sweep ``update(old, new)``, which fills ``new``, until the max-norm change is below tol.
+def _iterate(bind, state: np.ndarray, tol: float, max_iter: int):
+    """Run sweeps until the max-norm change of the state is below tol.
 
-    The sweeps of a block fill consecutive slots of one buffer; one subtract,
-    abs and max then give all of the block's changes. These are exact, so the
-    first change below tol picks the same sweep and state as a check after
-    every sweep would. A NaN change never passes.
+    ``bind(slots)`` is called once per solve with the slots of one buffer and
+    returns ``sweeps(count)``, which runs ``count`` sweeps in one call: sweep
+    k fills slot k + 1 from slot k, through views the solver binds once. The
+    blocks grow 1, 2, 4, ... up to the element budget, so a solve that stops
+    at sweep n has run at most 2n - 1. One subtract, abs and max then give
+    all of a block's changes. These are exact, so the first change below tol
+    picks the same sweep and state as a check after every sweep would. A NaN
+    change never passes. A sweep's change at one entry, the probe, bounds its
+    max-norm change from below, so a block in which the probe's change never
+    falls below tol skips that check, unless it is the last block. After each
+    check the probe moves to the entry that changed most in the last sweep.
 
     Returns a copy of the final state, then ``converged``, the number of
     updates and the last change, in the order of the solution types' trailing
     fields.
     """
-    block = max(1, min(64, _BLOCK_ELEMENTS // state.size))
-    buffer = np.empty((block + 1, *state.shape))
-    flat = buffer.reshape(block + 1, -1)
-    slots = list(buffer)
-    changes = np.empty((block, state.size))
+    cap = max(1, min(64, _BLOCK_ELEMENTS // state.size))
+    buffer = np.empty((cap + 1, *state.shape))
+    flat = buffer.reshape(cap + 1, -1)
+    changes = np.empty((cap, state.size))
+    sweeps = bind(list(buffer))
     buffer[0] = state
-    done = 0
+    done, block, probe = 0, 1, 0
     while done < max_iter:
         count = min(block, max_iter - done)
-        for k in range(count):
-            update(slots[k], slots[k + 1])
-        change = np.subtract(flat[1 : count + 1], flat[:count], out=changes[:count])
-        residuals = np.maximum.reduce(np.abs(change, out=change), axis=1)
-        below = np.flatnonzero(residuals < tol)
-        if below.size:
-            k = int(below[0])
-            return buffer[k + 1].copy(), True, done + k + 1, float(residuals[k])
+        sweeps(count)
+        column = flat[: count + 1, probe]
+        if done + count == max_iter or (np.abs(column[1:] - column[:-1]) < tol).any():
+            change = np.subtract(flat[1 : count + 1], flat[:count], out=changes[:count])
+            residuals = np.maximum.reduce(np.abs(change, out=change), axis=1)
+            below = np.flatnonzero(residuals < tol)
+            if below.size:
+                k = int(below[0])
+                return buffer[k + 1].copy(), True, done + k + 1, float(residuals[k])
+            probe = int(change[-1].argmax())
         done += count
         buffer[0] = buffer[count]
+        block = min(2 * block, cap)
     return buffer[0].copy(), False, done, float(residuals[-1])
 
 
@@ -257,23 +271,36 @@ def solve_single_stage(
     state[:] = _floor_norm(start)
     row_sums = np.empty((nw, 1))
 
-    def sweep(old, new):
-        cond = np.multiply(old[nw], kernel, out=new[:nw])
-        cond /= np.add.reduce(cond, axis=1, keepdims=True, out=row_sums)
-        _floor_norm(np.dot(rho, cond, out=new[nw]))
+    def bind(slots):
+        # (p(a), next p(a|w), next p(a)) of each sweep, and the ufuncs, looked up once
+        marginals = [slot[nw] for slot in slots]
+        steps = list(zip(marginals, [slot[:nw] for slot in slots[1:]], marginals[1:]))
+        multiply, divide, add_reduce, dot = np.multiply, np.divide, np.add.reduce, np.dot
 
-    state, *status = _iterate(sweep, state, tol, max_iter)
+        def sweeps(count):
+            for marginal, cond, new_marginal in steps[:count]:
+                multiply(marginal, kernel, cond)
+                divide(cond, add_reduce(cond, axis=1, keepdims=True, out=row_sums), cond)
+                _floor_norm(dot(rho, cond, new_marginal))
+
+        return sweeps
+
+    state, *status = _iterate(bind, state, tol, max_iter)
     return DiscretePolicy(grid, state[:nw], state[nw], *status)
 
 
-def _stage1_policy(px: np.ndarray, delta_f: np.ndarray, beta1: float) -> np.ndarray:
+def _stage1_policy(
+    px: np.ndarray, delta_f: np.ndarray, beta1: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """p(x|w) = p(x) exp(beta1 dF(w,x)) / Z(w)."""
-    return _gibbs(np.log(px)[None, :] + beta1 * delta_f)
+    return _gibbs(np.add(np.log(px), beta1 * delta_f, out=out))
 
 
-def _stage2_policy(pa_given_x: np.ndarray, table: np.ndarray, beta2: float) -> np.ndarray:
+def _stage2_policy(
+    pa_given_x: np.ndarray, table: np.ndarray, beta2: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """p(a|w,x) = p(a|x) exp(beta2 U(w,a)) / Z(w,x)."""
-    return _gibbs(np.log(pa_given_x)[None, :, :] + beta2 * table[:, None, :])
+    return _gibbs(np.add(np.log(pa_given_x), (beta2 * table)[:, None, :], out=out))
 
 
 def _world_posterior(rho: np.ndarray, px_given_w: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -282,21 +309,29 @@ def _world_posterior(rho: np.ndarray, px_given_w: np.ndarray, px: np.ndarray) ->
 
 
 def _stage2_marginal(
-    rho: np.ndarray, px_given_w: np.ndarray, px: np.ndarray, pa_given_wx: np.ndarray
+    rho: np.ndarray,
+    px_given_w: np.ndarray,
+    px: np.ndarray,
+    pa_given_wx: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """p(a|x) = sum_w p(w|x) p(a|w,x), unfloored."""
-    return np.einsum("kx,kxg->xg", _world_posterior(rho, px_given_w, px), pa_given_wx)
+    return np.einsum("kx,kxg->xg", _world_posterior(rho, px_given_w, px), pa_given_wx, out=out)
 
 
 def _delta_free_energy(
-    table: np.ndarray, pa_given_wx: np.ndarray, pa_given_x: np.ndarray, beta2: float
+    table: np.ndarray,
+    pa_given_wx: np.ndarray,
+    pa_given_x: np.ndarray,
+    beta2: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """dF(w,x) in nats; at beta2 = 0 the KL term vanishes with the constraint."""
-    eu = np.einsum("kxg,kg->kx", pa_given_wx, table)
+    eu = np.einsum("kxg,kg->kx", pa_given_wx, table, out=out)
     if beta2 == 0.0:
         return eu
-    kl = _kl_rows_nats(pa_given_wx, pa_given_x[None, :, :])
-    return eu - kl / beta2
+    eu -= _kl_rows_nats(pa_given_wx, pa_given_x[None, :, :]) / beta2
+    return eu
 
 
 def solve_two_stage(
@@ -342,20 +377,25 @@ def solve_two_stage(
     pa_given_wx[...] = 1.0 / ng
     pa_given_wx *= 1.0 + _INIT_NOISE * rng.uniform(-1.0, 1.0, size=pa_given_wx.shape)
     pa_given_wx /= pa_given_wx.sum(axis=2, keepdims=True)
-    pa_given_x[...] = _stage2_marginal(rho, px_given_w, px, pa_given_wx)
-    delta_f[...] = _delta_free_energy(table, pa_given_wx, pa_given_x, beta2)
+    _stage2_marginal(rho, px_given_w, px, pa_given_wx, pa_given_x)
+    _delta_free_energy(table, pa_given_wx, pa_given_x, beta2, delta_f)
 
-    def sweep(old, new):
-        _, px, _, pa_given_x, delta_f = unpack(old)
-        px_given_w, new_px, pa_given_wx, new_pa_given_x, new_delta_f = unpack(new)
-        px_given_w[...] = _stage1_policy(px, delta_f, beta1)
-        _floor_norm(np.dot(rho, px_given_w, out=new_px))
-        pa_given_wx[...] = _stage2_policy(pa_given_x, table, beta2)
-        new_pa_given_x[...] = _stage2_marginal(rho, px_given_w, new_px, pa_given_wx)
-        _floor_norm(new_pa_given_x)
-        new_delta_f[...] = _delta_free_energy(table, pa_given_wx, new_pa_given_x, beta2)
+    def bind(slots):
+        views = [unpack(slot) for slot in slots]
 
-    state, *status = _iterate(sweep, state, tol, max_iter)
+        def sweeps(count):
+            for old, new in zip(views[:count], views[1:]):
+                _, px, _, pa_given_x, delta_f = old
+                px_given_w, new_px, pa_given_wx, new_pa_given_x, new_delta_f = new
+                _stage1_policy(px, delta_f, beta1, px_given_w)
+                _floor_norm(np.dot(rho, px_given_w, new_px))
+                _stage2_policy(pa_given_x, table, beta2, pa_given_wx)
+                _floor_norm(_stage2_marginal(rho, px_given_w, new_px, pa_given_wx, new_pa_given_x))
+                _delta_free_energy(table, pa_given_wx, new_pa_given_x, beta2, new_delta_f)
+
+        return sweeps
+
+    state, *status = _iterate(bind, state, tol, max_iter)
     return TwoStageSolution(*unpack(state), beta1, beta2, grid, *status)
 
 

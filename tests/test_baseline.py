@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from brdm import baseline
 from brdm.baseline import (
     _BLOCK_ELEMENTS,
     _iterate,
@@ -653,25 +654,47 @@ def test_solvers_reject_a_cap_below_one_sweep(gaussian_task, max_iter):
         rate_distortion_curve(gaussian_task, [1.0], max_iter=max_iter)
 
 
-# A state of _EDGE_SHAPE gets blocks of _EDGE_BLOCK sweeps under the solvers'
-# element budget, so the scripted solves below end on both sides of a block edge.
+# A state of _EDGE_SHAPE gets blocks of at most _EDGE_BLOCK sweeps under the
+# solvers' element budget: blocks of 1, 2, 4, 8, 8, ... end after sweeps 1, 3,
+# 7, 15, 23, ..., so the scripted solves below end on both sides of each edge.
 _EDGE_BLOCK = 8
 _EDGE_SHAPE = (4, _BLOCK_ELEMENTS // (4 * _EDGE_BLOCK))
 
 
 def _scripted_update(steps):
-    """A sweep that copies the state and moves entry 0 by the next scripted step.
+    """A sweep that copies the state and moves one entry by the next scripted step.
 
-    Past the end of the script the last step repeats. ``calls`` counts the sweeps run.
+    A step is an amount for entry 0 or an (entry, amount) pair. Past the end of
+    the script the last step repeats. ``calls`` counts the sweeps run.
     """
     calls = [0]
 
     def update(old, new):
         new[...] = old
-        new.flat[0] += steps[min(calls[0], len(steps) - 1)]
+        step = steps[min(calls[0], len(steps) - 1)]
+        entry, amount = step if isinstance(step, tuple) else (0, step)
+        new.flat[entry] += amount
         calls[0] += 1
 
     return update, calls
+
+
+def _bind_blocks(update, binds):
+    """``update`` as a driver ``bind``: one call per block runs its sweeps slot to slot.
+
+    ``binds`` gets the number of slots of each bind.
+    """
+
+    def bind(slots):
+        binds.append(len(slots))
+
+        def sweeps(count):
+            for old, new in zip(slots[:count], slots[1:]):
+                update(old, new)
+
+        return sweeps
+
+    return bind
 
 
 def _checked_every_sweep(update, state, tol, max_iter):
@@ -686,17 +709,28 @@ def _checked_every_sweep(update, state, tol, max_iter):
     return state, False, iteration, residual
 
 
+def _doubling_block_end(sweep, cap, max_iter):
+    """The sweep that ends the block holding ``sweep``, with blocks 1, 2, 4, ... up to cap."""
+    end, block = 0, 1
+    while end < sweep:
+        end += block
+        block = min(2 * block, cap)
+    return min(end, max_iter)
+
+
 def _first_below_at(sweep):
     """Steps of 1e-3 whose change first falls below 1e-10 at ``sweep``, then stays there."""
     return [1e-3] * (sweep - 1) + [1e-12]
 
 
-# sweep counts on both sides of the first and second block edges
-_EDGES = (1, _EDGE_BLOCK - 1, _EDGE_BLOCK, _EDGE_BLOCK + 1, 2 * _EDGE_BLOCK + 1)
+# sweep counts on both sides of the first five block edges
+_EDGES = (1, 2, 3, 4, 7, 8, 15, 16, 23, 24)
 _EDGE_SCRIPTS = {
     **{f"first_below_at_{n}": _first_below_at(n) for n in _EDGES},
-    # within one block, sweep 3 passes first and sweep 5 with the smaller change must lose
-    "non_monotone": [1e-3, 1e-3, 1e-11, 1e-3, 1e-13, 1e-3],
+    # within one block, sweep 9 passes first and sweep 11 with the smaller change must lose
+    "non_monotone": [1e-3] * 8 + [1e-11, 1e-3, 1e-13, 1e-3],
+    # entry 1 starts to move while the check probes entry 0, which stands still
+    "probe_misses": [1e-3] * 3 + [(1, 1e-3)] * 8 + [(1, 1e-12)],
     "never_below": [1e-3],
     "nan": [math.nan],
 }
@@ -707,7 +741,10 @@ _EDGE_SCRIPTS = {
 def test_iterate_matches_a_check_after_every_sweep_at_the_block_edges(script, max_iter):
     start = np.linspace(0.0, 1.0, math.prod(_EDGE_SHAPE)).reshape(_EDGE_SHAPE)
     update, calls = _scripted_update(_EDGE_SCRIPTS[script])
-    got, converged, iterations, residual = _iterate(update, start, 1e-10, max_iter)
+    binds = []
+    got, converged, iterations, residual = _iterate(
+        _bind_blocks(update, binds), start, 1e-10, max_iter
+    )
     ref_update, _ = _scripted_update(_EDGE_SCRIPTS[script])
     ref = _checked_every_sweep(ref_update, start, 1e-10, max_iter)
 
@@ -717,8 +754,35 @@ def test_iterate_matches_a_check_after_every_sweep_at_the_block_edges(script, ma
     assert got.flags.owndata
     if script == "nan":
         assert (converged, iterations) == (False, max_iter)
-    # a solve runs whole blocks, truncated at the cap
-    assert calls[0] == min(max_iter, -(-iterations // _EDGE_BLOCK) * _EDGE_BLOCK)
+    # one bind per solve, with a slot for the start and one per sweep of the largest block
+    assert binds == [_EDGE_BLOCK + 1]
+    # a solve runs whole doubling blocks, truncated at the cap
+    assert calls[0] == _doubling_block_end(iterations, _EDGE_BLOCK, max_iter)
+    if converged:
+        assert calls[0] <= 2 * iterations - 1
+
+
+def test_a_warm_started_solve_runs_at_most_twice_its_sweeps(gaussian_task, monkeypatch):
+    # with fixed 64-sweep blocks, a solve that converged at sweep 2 ran 64
+    first = solve_single_stage(gaussian_task, 50.0)
+    blocks = []
+
+    def counted(bind, state, tol, max_iter):
+        def counting_bind(slots):
+            sweeps = bind(slots)
+
+            def counting_sweeps(count):
+                blocks.append(count)
+                sweeps(count)
+
+            return counting_sweeps
+
+        return _iterate(counting_bind, state, tol, max_iter)
+
+    monkeypatch.setattr(baseline, "_iterate", counted)
+    again = solve_single_stage(gaussian_task, 50.0, init_marginal=first.marginal)
+    assert (again.converged, again.iterations) == (True, 2)
+    assert blocks == [1, 2]
 
 
 def _peak_mib(call):

@@ -54,16 +54,22 @@ def test_sweep_logs_match_recorded_digests(tmp_path):
 
 # frontier.csv of `brdm baseline` at the default config, and with max_iter = 50,
 # where no point converges and the optional `converged` column appears. The
-# solvers sweep in blocks of up to 64 at the default grid, so caps of 63, 64,
-# 65 and 129 end a solve on both sides of a block edge; at 129 the high betas
-# converge inside a block. At grid_size = 2000 the blocks are 4 sweeps long,
-# and the cap of 301 leaves both converged and capped points.
+# solvers sweep in blocks of 1, 2, 4, ... up to 64 at the default grid, so
+# caps of 1, 3, 7, 63 and 127 end a solve at the end of a block, and 64, 65
+# and 129 just after one; at 129 the high betas converge inside a block. At
+# grid_size = 2000 the blocks grow to 4 sweeps, and the cap of 301 leaves
+# both converged and capped points. The digests at caps 1, 3, 7 and 127 were
+# recorded with fixed 64-sweep blocks, before the blocks grew by doubling.
 FRONTIER_DIGESTS = {
     "": "a6236ade2585560063f41c6084c6cdb1e3b2caf6c01299b7915daa776d95f058",
+    "max_iter = 1\n": "82698be91fdcd92d7aa71f7185b75a9fa94ade4db28fcf82ff23aac83b22a20b",
+    "max_iter = 3\n": "c438f45d2a2c9a1829b6c4d8a4bf29d3115ddfdb230cac2387e44db0143e14cc",
+    "max_iter = 7\n": "393da2ef40fa6ad302a0774fc13f745aaa1542b23dbbb3e598ea967fbf8c0da9",
     "max_iter = 50\n": "854a9a79b4d049f62d93871efa368af366cb27d7826a5bf0b57a9b354edf31cb",
     "max_iter = 63\n": "e561d5608aac695ebbc332bf341afaedf93bba57e1fa467bf59bd72d59c2789a",
     "max_iter = 64\n": "f42e58b7ac1edb13d45fe049339debe3cf06b581beae33a2a9a39d6059143402",
     "max_iter = 65\n": "c16048271942ae60bbfec856e846339e80753d9dbfe60d446ea6f81218dc3ee1",
+    "max_iter = 127\n": "f6c65782d60749ad80d62cc6b08f112e6bc941c098fb024cf86cc641a50b3da4",
     "max_iter = 129\n": "87a0a6e5a8de3f4276504e778de5d3eb1f24d7ef79d7e21a008c189681e52618",
     "grid_size = 2000\nmax_iter = 301\n": (
         "29210501e4f3b497b1bb5dced88e9e4ae65cfd23c7a7cabc39b688235e490635"

@@ -9,8 +9,9 @@ inputs come from this checkout and are the same for both trees:
 - ``brdm run`` and ``brdm baseline`` at their defaults, then
   ``brdm plot --no-render`` on those two outputs;
 - ``brdm baseline`` capped at 50 sweeps, where no point converges and
-  frontier.csv gains its ``converged`` column, and at a 2000-point grid,
-  where the exact solvers check fewer sweeps per block.
+  frontier.csv gains its ``converged`` column; capped at 7 sweeps, the end
+  of the exact solvers' third block (blocks grow 1, 2, 4, ...); and at a
+  2000-point grid, where the solvers check fewer sweeps per block.
 
 Run from the repository root, with each tree a directory holding ``src/brdm``:
 
@@ -52,6 +53,7 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
         ("default_run", "run", None),
         ("default_baseline", "baseline", None),
         ("capped_baseline", "baseline", "max_iter = 50\n"),
+        ("third_block_baseline", "baseline", "max_iter = 7\n"),
         ("fine_grid_baseline", "baseline", "grid_size = 2000\n"),
     ]
 
