@@ -16,6 +16,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence, get_type_hints
 
@@ -147,10 +148,6 @@ def summarize_records(
     )
 
 
-def _run_cell_task(args: tuple[ExperimentConfig, CellSpec, str | Path | None]) -> SummaryRow:
-    return run_cell(*args)
-
-
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[SummaryRow]:
     """Run all cells, at most one pool worker per cell; rows come back in cell order.
 
@@ -165,7 +162,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[
     if workers <= 1:
         return [run_cell(cfg, cell, out_dir) for cell in cells]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell_task, [(cfg, cell, out_dir) for cell in cells]))
+        return list(pool.map(run_cell, repeat(cfg), cells, repeat(out_dir)))
 
 
 def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:

@@ -785,6 +785,88 @@ def test_a_warm_started_solve_runs_at_most_twice_its_sweeps(gaussian_task, monke
     assert blocks == [1, 2]
 
 
+def _stress_problem(rng, index):
+    """A random single-stage problem: table, rho, beta, cap and start.
+
+    W from 2 to 11 and G from 5 to 399; random tables, Gaussian bumps and
+    near-duplicate columns; Dirichlet rho with entries down to 1e-6 (problem
+    0's sums to 1 + 1e-12); beta from 1e-2 to 1e5; caps 1, 7, 64 and 200;
+    every other start log-uniform from 1e-300 to 1, so some entries start
+    just above the marginal floor and some below it.
+    """
+    nw, ng = int(rng.integers(2, 12)), int(rng.integers(5, 400))
+    kind = index % 3
+    if kind == 0:
+        table = rng.random((nw, ng))
+    elif kind == 1:
+        grid = action_grid(ng)
+        means, width = rng.random((nw, 1)), rng.uniform(0.02, 0.3)
+        table = np.exp(-((grid - means) ** 2) / (2.0 * width * width))
+    else:
+        table = rng.random((nw, 4))[:, rng.integers(0, 4, ng)]
+        table += 1e-12 * rng.random((nw, ng))
+    rho = np.maximum(rng.dirichlet(np.full(nw, 0.3)), 1e-6)
+    rho /= rho.sum()
+    if index == 0:
+        rho[-1] += 1e-12 - (rho.sum() - 1.0)
+        while float(rho.sum()) - 1.0 > 1e-12:
+            rho[-1] = np.nextafter(rho[-1], 0.0)
+    beta = float(10.0 ** rng.uniform(-2.0, 5.0))
+    max_iter = (1, 7, 64, 200)[index % 4]
+    start = 10.0 ** rng.uniform(-300.0, 0.0, ng) if index % 2 else None
+    return make_tabular_world(table, rho), ng, beta, max_iter, start
+
+
+def test_single_stage_matches_reference_bit_for_bit_on_random_problems(monkeypatch):
+    # The solver skips the marginal floor in blocks where a bound proves it idle,
+    # so each solve must match the per-sweep reference loop, which always floors.
+    # The reference is wrapped to record which of its sweeps floored an entry.
+    floored = []
+
+    def recording_floor_norm(p, axis=-1):
+        floored.append(bool((p < _REF_FLOOR).any()))
+        return reference_floor_norm(p, axis)
+
+    reference_floor_norm = _reference_floor_norm
+    monkeypatch.setitem(globals(), "_reference_floor_norm", recording_floor_norm)
+    rng = np.random.default_rng(2024)
+    floored_inside_a_block = 0
+    for index in range(48):
+        world, ng, beta, max_iter, start = _stress_problem(rng, index)
+        if index == 0:
+            assert float(world.rho.sum()) - 1.0 > 0.99e-12
+        policy = solve_single_stage(world, beta, grid_size=ng, max_iter=max_iter,
+                                    init_marginal=start)
+        floored.clear()
+        ref = _reference_solve_single_stage(world, beta, grid_size=ng, max_iter=max_iter,
+                                            init_marginal=start)
+        assert policy.cond.tobytes() == ref[0].tobytes(), index
+        assert policy.marginal.tobytes() == ref[1].tobytes(), index
+        assert (policy.converged, policy.iterations, policy.residual) == ref[2:], index
+        # sweep k floored an entry, and was not the first sweep of its block
+        cap = max(1, min(64, _BLOCK_ELEMENTS // ((world.num_worlds + 1) * ng)))
+        sweeps = floored[start is not None:]
+        floored_inside_a_block += any(
+            hit and _doubling_block_end(k - 1, cap, max_iter) != k - 1
+            for k, hit in enumerate(sweeps, 1)
+        )
+    assert floored_inside_a_block >= 1
+
+
+def test_kl_rows_matches_the_reference_at_zeros_and_denormals():
+    tiny = np.nextafter(0.0, 1.0)
+    # p = 0 with q = 0, p = 0 with q > 0, p > 0 with q at the floor, subnormal p
+    p = np.array([[0.0, 0.0, 0.5, tiny, 1e-310, 0.5 - 1e-310 - tiny]])
+    q = np.array([[0.0, 0.3, 1e-280, 0.2, 0.25, 0.25]])
+    got = baseline._kl_rows_nats(p, q)
+    assert got.tobytes() == _reference_kl_rows_nats(p, q).tobytes()
+    # the two-stage shapes: (W, X, G) rows against a broadcast (1, X, G)
+    rows = np.stack([p, p[:, ::-1]])
+    got = baseline._kl_rows_nats(rows, q[None])
+    assert got.shape == (2, 1)
+    assert got.tobytes() == _reference_kl_rows_nats(rows, q[None]).tobytes()
+
+
 def _peak_mib(call):
     tracemalloc.start()
     try:

@@ -164,8 +164,8 @@ def test_run_sweep_pool_never_exceeds_the_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(brdm.experiment, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -10,8 +10,11 @@ alters these bytes on purpose records new digests and says why.
 """
 
 import hashlib
+from pathlib import Path
 
 from brdm.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """\
 agent_kinds = single, multi
@@ -86,3 +89,15 @@ def test_frontier_csv_matches_recorded_digests(tmp_path):
         frontier = (out / "frontier.csv").read_bytes()
         assert hashlib.sha256(frontier).hexdigest() == digest, config
     assert b",converged" in frontier
+
+
+def test_the_tools_child_runner_reproduces_a_frontier_digest(tmp_path, monkeypatch):
+    # tools/compare_outputs.py and tools/digest_portability.py run brdm this way
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from compare_outputs import brdm, digests
+
+    cfgfile = tmp_path / "capped.cfg"
+    cfgfile.write_text("max_iter = 1\n")
+    out = tmp_path / "capped"
+    brdm(ROOT, "baseline", "--config", str(cfgfile), "--out", str(out))
+    assert digests(out)["frontier.csv"] == FRONTIER_DIGESTS["max_iter = 1\n"]

@@ -58,15 +58,21 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
     ]
 
 
-def brdm(tree: Path, *args: str) -> None:
-    """Run ``brdm args`` on the sources of ``tree``; RuntimeError with its stderr if it fails."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+def brdm(tree: Path, *args: str, env: dict[str, str] | None = None) -> None:
+    """Run ``brdm args`` on the sources of ``tree`` in a child process.
+
+    ``env`` adds to this process's environment, for the child only. If the
+    child fails, the RuntimeError's last line is the last line of its stderr,
+    or ``exit N`` when it wrote none.
+    """
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", ENTRY, *args], capture_output=True, text=True, env=env
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"brdm {' '.join(args)} on {tree} exited {proc.returncode}: {proc.stderr.strip()}"
+            f"brdm {' '.join(args)} on {tree} exited {proc.returncode}:\n"
+            f"{proc.stderr.strip() or f'exit {proc.returncode}'}"
         )
 
 
