@@ -26,15 +26,7 @@ two stage      p(x|w)   = p(x) exp(beta1 dF(w,x)) / Z(w)         _stage1_policy
 The single-stage exponentials are taken once per solve, in ``_gibbs``: the
 kernel K does not change within a solve, so each sweep only multiplies by it
 and renormalises. Each new p(a) is floored at ``_MARGINAL_FLOOR``, then
-normalised. Since p(a) sums to 1, Z(w) = sum_a p(a) K(w,a) is at most
-max_a K(w,a), so one sweep scales no entry of p(a) by less than
-
-               shrink   = min_w min_a K(w,a) / max_a K(w,a)
-
-which is 0 where the kernel underflows. It is taken once per solve, times a
-margin for rounding and rho's 1e-12 sum tolerance. A block of n sweeps whose
-start marginal has min_a p(a) shrink^n above the floor skips the floor,
-which would change no entry there.
+normalised.
 
 The two-stage exponentials are taken on every sweep, in the log domain.
 ``_gibbs`` subtracts each row's max first, so betas up to 1e6 are safe.
@@ -58,10 +50,6 @@ from .core import WorldModel, make_rng
 # KL in dF infinite. The floor is invisible at the 1e-10 tolerance scale and
 # also lets warm starts regain mass on high-utility grid points.
 _MARGINAL_FLOOR = 1e-280
-
-# Slack on the single-stage floor-skip bound, for rounding and rho's 1e-12
-# sum tolerance.
-_SHRINK_MARGIN = 1.0 - 1e-9
 
 # Relative amplitude of the symmetric noise on the two-stage start.
 _INIT_NOISE = 1e-3
@@ -285,8 +273,6 @@ def solve_single_stage(
     nw = world.num_worlds
 
     kernel = _gibbs(beta * utility_table(world, grid))
-    # no sweep scales an entry of p(a) by less than this (see the module docstring)
-    shrink = float((kernel.min(axis=1) / kernel.max(axis=1)).min()) * _SHRINK_MARGIN
     # rows 0..W-1 hold p(a|w), row W holds p(a): one array, one residual
     state = np.empty((nw + 1, grid_size))
     state[:] = _floor_norm(start)
@@ -294,21 +280,17 @@ def solve_single_stage(
 
     def bind(slots):
         # (p(a), next p(a|w), next p(a)) of each sweep, and the ufuncs, looked up once
-        marginals = [slot[nw] for slot in slots]
-        steps = list(zip(marginals, [slot[:nw] for slot in slots[1:]], marginals[1:]))
+        steps = [(old[nw], new[:nw], new[nw]) for old, new in zip(slots, slots[1:])]
         multiply, divide, maximum = np.multiply, np.divide, np.maximum
-        add_reduce, min_reduce, dot = np.add.reduce, np.minimum.reduce, np.dot
+        add_reduce, dot = np.add.reduce, np.dot
 
         def sweeps(count):
-            # _floor_norm inline, without the floor where the bound proves it idle
-            # (a NaN bound keeps it)
-            floor = not (min_reduce(marginals[0]) * shrink**count > _MARGINAL_FLOOR)
+            # _floor_norm inline: a call per sweep measured 5 to 10% slower
             for marginal, cond, new in steps[:count]:
                 multiply(marginal, kernel, cond)
                 divide(cond, add_reduce(cond, 1, None, row_sums, True), cond)
                 dot(rho, cond, new)
-                if floor:
-                    maximum(new, _MARGINAL_FLOOR, out=new)
+                maximum(new, _MARGINAL_FLOOR, out=new)
                 divide(new, add_reduce(new), new)
 
         return sweeps

@@ -1,11 +1,11 @@
 """Experiment configuration: flat key = value files with typed parsing.
 
 Format: one ``key = value`` per line, ``#`` starts a comment, list values
-are comma separated, omitted keys take the defaults below, unknown keys are
-errors. Each value is parsed by its field's annotation (``int``, ``float``,
-``str`` or ``tuple[T, ...]``). ``serialize_config`` writes a file that
-parses back to an equal config (floats via repr, so they round-trip
-exactly).
+are comma separated, omitted keys take the defaults below, unknown and
+repeated keys are errors. Each value is parsed by its field's annotation
+(``int``, ``float``, ``str`` or ``tuple[T, ...]``). ``serialize_config``
+writes a file that parses back to an equal config (floats via repr, so they
+round-trip exactly).
 """
 
 from __future__ import annotations
@@ -148,6 +148,7 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
             content = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        first_lines = {}
         for line_no, line in enumerate(content.splitlines(), start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -157,6 +158,9 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in _PARSERS:
                 raise ConfigError(f"line {line_no}: unknown key '{key}'")
+            if key in first_lines:
+                raise ConfigError(f"line {line_no}: key '{key}' repeats line {first_lines[key]}")
+            first_lines[key] = line_no
             try:
                 setattr(cfg, key, _PARSERS[key](raw))
             except ValueError as exc:

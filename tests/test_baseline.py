@@ -818,9 +818,10 @@ def _stress_problem(rng, index):
 
 
 def test_single_stage_matches_reference_bit_for_bit_on_random_problems(monkeypatch):
-    # The solver skips the marginal floor in blocks where a bound proves it idle,
-    # so each solve must match the per-sweep reference loop, which always floors.
-    # The reference is wrapped to record which of its sweeps floored an entry.
+    # The solver floors and normalises inline, on views bound once per solve and
+    # in blocks of sweeps, so each solve must match the per-sweep reference loop.
+    # The reference is wrapped to record which of its sweeps floored an entry:
+    # the family must reach the floor inside a block, not only at a block's start.
     floored = []
 
     def recording_floor_norm(p, axis=-1):

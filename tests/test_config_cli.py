@@ -560,6 +560,7 @@ REJECTED_VALUES = [
     "summary_window = 1.5",
     "mi_bins = 0",
     "workers = -1",
+    "seed = 1\nseed = 2",
 ]
 
 

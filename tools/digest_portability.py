@@ -1,12 +1,14 @@
-"""Rerun the episode-log digest sweep under other SIMD kernels and report what differs.
+"""Rerun the pinned digest runs under other SIMD kernels and report what differs.
 
 The digests in ``tests/test_log_digests.py`` were recorded with the kernels
 that OpenBLAS and NumPy pick on one CPU. This script reruns that test's
-sweep with ``brdm run`` in a child process per setting, through the runner
-of ``tools/compare_outputs.py``; the environment variables of each setting
-reach only that child, and they make OpenBLAS or NumPy use the kernels of an
-older CPU. For each setting it prints the files
-whose SHA-256 differs from the test's ``DIGESTS``.
+sweep with ``brdm run``, and each of its ``FRONTIER_DIGESTS`` configs with
+``brdm baseline``, in a child process per run, through the runner of
+``tools/compare_outputs.py``; the environment variables of each setting
+reach only those children, and they make OpenBLAS or NumPy use the kernels
+of an older CPU. For each setting it prints one line for the sweep, naming
+the files whose SHA-256 differs from the test's ``DIGESTS``, and one for the
+frontier, naming the configs whose frontier.csv differs.
 
 Run from the repository root:
 
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 from compare_outputs import ROOT, brdm, digests
-from test_log_digests import CONFIG, DIGESTS
+from test_log_digests import CONFIG, DIGESTS, FRONTIER_DIGESTS
 
 AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 SETTINGS = {
@@ -32,29 +34,51 @@ SETTINGS = {
     "NumPy without AVX-512": {"NPY_DISABLE_CPU_FEATURES": AVX512},
     "NumPy without AVX-512 and X86_V3": {"NPY_DISABLE_CPU_FEATURES": AVX512 + " X86_V3"},
 }
+# each frontier config by its lines, the empty one by what it runs
+FRONTIER = {
+    config.strip().replace("\n", "; ") or "defaults": digest
+    for config, digest in FRONTIER_DIGESTS.items()
+}
+
+
+def run(command: str, config: str, out: Path, env: dict[str, str]) -> dict[str, str]:
+    """Digests of what ``brdm command`` writes to ``out`` for ``config`` under ``env``."""
+    cfgfile = out.with_suffix(".cfg")
+    cfgfile.write_text(config)
+    brdm(ROOT, command, "--config", str(cfgfile), "--out", str(out), env=env)
+    return digests(out)
+
+
+def report(label: str, expected: dict[str, str], got: dict[str, str]) -> bool:
+    """Print the keys of ``expected`` whose digest ``got`` lacks; True when there are none."""
+    differ = [key for key, digest in expected.items() if got.get(key) != digest]
+    if differ:
+        print(f"{label}: {len(differ)} of {len(expected)} differ: {', '.join(differ)}", flush=True)
+    else:
+        print(f"{label}: all {len(expected)} match", flush=True)
+    return not differ
 
 
 def main() -> int:
     all_match = True
     with tempfile.TemporaryDirectory() as tmp:
-        cfgfile = Path(tmp) / "sweep.cfg"
-        cfgfile.write_text(CONFIG)
         for index, (label, env) in enumerate(SETTINGS.items()):
-            out = Path(tmp) / f"sweep{index}"
+            out = Path(tmp) / f"setting{index}"
+            out.mkdir()
             try:
-                brdm(ROOT, "run", "--config", str(cfgfile), "--out", str(out), env=env)
+                all_match &= report(label, DIGESTS, run("run", CONFIG, out / "sweep", env))
             except RuntimeError as error:
                 all_match = False
                 print(f"{label}: sweep failed: {str(error).splitlines()[-1]}", flush=True)
-                continue
-            got = digests(out)
-            differ = [name for name, digest in sorted(DIGESTS.items()) if got.get(name) != digest]
-            all_match &= not differ
-            if differ:
-                report = f"{len(differ)} of {len(DIGESTS)} differ: {', '.join(differ)}"
-            else:
-                report = f"all {len(DIGESTS)} match"
-            print(f"{label}: {report}", flush=True)
+            try:
+                got = {
+                    name: run("baseline", config, out / f"baseline{i}", env)["frontier.csv"]
+                    for i, (name, config) in enumerate(zip(FRONTIER, FRONTIER_DIGESTS))
+                }
+                all_match &= report(f"{label} frontier", FRONTIER, got)
+            except RuntimeError as error:
+                all_match = False
+                print(f"{label} frontier: failed: {str(error).splitlines()[-1]}", flush=True)
     return 0 if all_match else 1
 
 
