@@ -38,6 +38,10 @@ import numpy as np
 # Floor for the rectified variance head; a hard zero would make the KL blow up.
 VAR_FLOOR = 1e-6
 
+# the passes' constants as 0-d arrays, which numpy takes on its fast path;
+# a Python float is converted to an array on every call
+_ZERO, _HALF, _ONE, _TWO, _FLOOR = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0, VAR_FLOOR))
+
 
 @dataclass(frozen=True)
 class VaeArch:
@@ -95,6 +99,8 @@ class VaePrior:
     the same views into ``grad``, which :func:`elbo_gradients` fills. With a
     ``flat`` of shape (P, K) every view gains a leading axis of length P:
     the object is then a stack of P priors, used for decoding only.
+    ``operands`` holds the views the passes take, bound once: weights as
+    (in, out), biases as rows; ``work`` holds a training step's buffers.
     """
 
     arch: VaeArch
@@ -103,13 +109,46 @@ class VaePrior:
     params: dict[str, np.ndarray] = field(init=False, repr=False)
     grad: np.ndarray = field(init=False, repr=False)
     grads: dict[str, np.ndarray] = field(init=False, repr=False)
+    operands: dict[str, np.ndarray] = field(init=False, repr=False)
+    work: _Workspace | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.flat.shape[-1:] != (param_count(self.arch),):
             raise ValueError(f"flat parameters must end in an axis of {param_count(self.arch)}")
-        self.params = _views(self.arch, self.flat)
+        self.params = p = _views(self.arch, self.flat)
         self.grad = np.empty_like(self.flat)
         self.grads = _views(self.arch, self.grad)
+        self.operands = {
+            name: view.swapaxes(-1, -2) if "_w" in name else view[..., None, :]
+            for name, view in p.items()
+        }
+
+
+class _Workspace:
+    """A prior's training-step buffers for batches of ``n``, with the transposes the step takes."""
+
+    def __init__(self, arch: VaeArch, n: int):
+        h, lat = arch.hidden_dim, arch.latent_dim
+        self.shape, self.scale = (n, 1), np.array(1.0 / n)
+        self.sigma2 = np.array(arch.decoder_variance)
+        (self.he_pre, self.he, self.hd_pre, self.hd, self.relu_mask,
+         self.d_hd_pre, self.d_he_pre, self.d_he_var) = np.empty((8, n, h))
+        (self.var_pre, self.xi, self.sd, self.z, self.var_mask,
+         self.d_z, self.d_mu, self.d_var, self.kl_term) = np.empty((9, n, lat))
+        self.out_pre, self.out, self.d_out_pre, self.one_minus_out = np.empty((4, n, 1))
+        self.step = np.empty(param_count(arch))
+        self.d_out_pre_t, self.d_hd_pre_t, self.d_mu_t, self.d_var_t, self.d_he_pre_t = (
+            self.d_out_pre.T, self.d_hd_pre.T, self.d_mu.T, self.d_var.T, self.d_he_pre.T)
+
+
+def _workspace(prior: VaePrior, batch: np.ndarray) -> _Workspace:
+    """The prior's buffers for ``batch``, which must be (n, 1) with n >= 1."""
+    work = prior.work
+    if work is None or batch.shape != work.shape:
+        if batch.ndim != 2 or batch.shape[1] != 1 or batch.shape[0] < 1:
+            raise ValueError(f"batch must have shape (n, 1) with n >= 1, got {batch.shape}")
+        work = prior.work = _Workspace(prior.arch, batch.shape[0])
+    return work
 
 
 @dataclass(eq=False)
@@ -173,29 +212,40 @@ def zero_vae(arch: VaeArch, flat: np.ndarray | None = None) -> VaePrior:
     return VaePrior(arch=arch, flat=flat)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Logistic of ``x`` into ``out``. Without buffers each step makes a new array, which
+    for a 1-element array costs half as much as numpy's in-place operation."""
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without a branch;
     # neither exponent is positive, so neither exp can overflow
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    num = np.exp(np.minimum(x, _ZERO, out=out), out=out)
+    den = np.exp(np.negative(np.abs(x, out=scratch), out=scratch), out=scratch)
+    return np.divide(num, np.add(_ONE, den, out=scratch), out=out)
 
 
-def _encode_batch(prior: VaePrior, batch: np.ndarray):
-    p = prior.params
-    he_pre = batch @ p["enc_w1"].T + p["enc_b1"]
-    he = np.maximum(he_pre, 0.0)
-    mu = he @ p["enc_wmu"].T + p["enc_bmu"]
-    var_pre = he @ p["enc_wvar"].T + p["enc_bvar"]
-    var = np.maximum(var_pre, 0.0) + VAR_FLOOR
-    return he_pre, he, mu, var_pre, var
+def _encode_batch(prior: VaePrior, batch: np.ndarray, he_pre=None, he=None, var_pre=None):
+    """Encoder pass over actions (n, 1), into the buffers given; ``mu`` and ``var`` are new.
+
+    The first layer has one input: its broadcast product rounds as a matrix product would.
+    """
+    w = prior.operands
+    he_pre = np.add(np.multiply(batch, w["enc_w1"], out=he_pre), w["enc_b1"], out=he_pre)
+    he = np.maximum(he_pre, _ZERO, out=he)
+    mu = np.add(he @ w["enc_wmu"], w["enc_bmu"])
+    var_pre = np.add(np.matmul(he, w["enc_wvar"], out=var_pre), w["enc_bvar"], out=var_pre)
+    var = np.maximum(var_pre, _ZERO)
+    return he_pre, he, mu, var_pre, np.add(var, _FLOOR, out=var)
 
 
-def _decode_batch(prior: VaePrior, z: np.ndarray):
-    """Decoder pass over latents (n, latent); a stack of P priors takes (P, n, latent)."""
-    p = prior.params
-    hd_pre = z @ p["dec_w1"].swapaxes(-1, -2) + p["dec_b1"][..., None, :]
-    hd = np.maximum(hd_pre, 0.0)
-    out = _sigmoid(hd @ p["dec_wout"].swapaxes(-1, -2) + p["dec_bout"][..., None, :])
-    return hd_pre, hd, out
+def _decode_batch(prior: VaePrior, z: np.ndarray, hd_pre=None, hd=None, out_pre=None, out=None):
+    """Decoder pass over latents (n, latent), into the buffers given; ``out_pre`` ends as scratch.
+
+    A stack of P priors takes (P, n, latent).
+    """
+    w = prior.operands
+    hd_pre = np.add(np.matmul(z, w["dec_w1"], out=hd_pre), w["dec_b1"], out=hd_pre)
+    hd = np.maximum(hd_pre, _ZERO, out=hd)
+    pre = np.add(np.matmul(hd, w["dec_wout"], out=out_pre), w["dec_bout"], out=out_pre)
+    return hd_pre, hd, _sigmoid(pre, out, out_pre)
 
 
 def encode(prior: VaePrior, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,50 +285,62 @@ def elbo_gradients(
     gradients d/dmu = mu, d/dvar = (1 - 1/var) / 2 on the encoder heads.
     The ReLU masks (pre-activation > 0) multiply as 1.0 or 0.0. The
     gradients are written into ``prior.grad`` and returned as its named
-    views ``prior.grads``, which the next call overwrites.
+    views ``prior.grads``, which the next call overwrites, and every other
+    batch-sized term except the report's into ``prior.work``. A ``batch``
+    that is not (n, 1) with n >= 1 raises ValueError before any write.
     """
     p, g = prior.params, prior.grads
-    sigma2 = prior.arch.decoder_variance
     batch = np.asarray(batch, dtype=float)
+    w = _workspace(prior, batch)
 
-    he_pre, he, mu, var_pre, var = _encode_batch(prior, batch)
-    sd = np.sqrt(var)
-    z = mu + sd * xi
-    hd_pre, hd, out = _decode_batch(prior, z)
+    he_pre, he, mu, var_pre, var = _encode_batch(prior, batch, w.he_pre, w.he, w.var_pre)
+    sd = np.sqrt(var, out=w.sd)
+    z = np.add(mu, np.multiply(sd, xi, out=w.z), out=w.z)
+    hd_pre, hd, out = _decode_batch(prior, z, w.hd_pre, w.hd, w.out_pre, w.out)
     resid = batch - out
 
-    scale = 1.0 / batch.shape[0]
-    d_out_pre = (resid / sigma2 * scale) * out * (1.0 - out)
-    np.matmul(d_out_pre.T, hd, out=g["dec_wout"])
-    d_out_pre.sum(axis=0, out=g["dec_bout"])
-    d_hd_pre = (d_out_pre @ p["dec_wout"]) * (hd_pre > 0.0)
-    np.matmul(d_hd_pre.T, z, out=g["dec_w1"])
-    d_hd_pre.sum(axis=0, out=g["dec_b1"])
+    d_out_pre = np.multiply(np.divide(resid, w.sigma2, out=w.d_out_pre), w.scale, out=w.d_out_pre)
+    d_out_pre *= out
+    d_out_pre *= np.subtract(_ONE, out, out=w.one_minus_out)
+    np.matmul(w.d_out_pre_t, hd, out=g["dec_wout"])
+    np.add.reduce(d_out_pre, 0, out=g["dec_bout"])
+    # one output unit: the product with dec_wout is a broadcast, as in the encoder's first layer
+    d_hd_pre = np.multiply(d_out_pre, p["dec_wout"], out=w.d_hd_pre)
+    d_hd_pre *= np.greater(hd_pre, _ZERO, out=w.relu_mask)
+    np.matmul(w.d_hd_pre_t, z, out=g["dec_w1"])
+    np.add.reduce(d_hd_pre, 0, out=g["dec_b1"])
 
-    d_z = d_hd_pre @ p["dec_w1"]
-    d_mu = d_z - mu * scale
-    d_var = d_z * xi / (2.0 * sd) - 0.5 * (1.0 - 1.0 / var) * scale
-    d_var_pre = d_var * (var_pre > 0.0)
+    d_z = np.matmul(d_hd_pre, p["dec_w1"], out=w.d_z)
+    d_mu = np.subtract(d_z, np.multiply(mu, w.scale, out=w.d_mu), out=w.d_mu)
+    d_var = np.multiply(d_z, xi, out=w.d_var)
+    d_var /= np.multiply(_TWO, sd, out=sd)
+    kl_term = np.subtract(_ONE, np.divide(_ONE, var, out=w.kl_term), out=w.kl_term)
+    kl_term *= _HALF
+    kl_term *= w.scale
+    d_var -= kl_term
+    d_var *= np.greater(var_pre, _ZERO, out=w.var_mask)
 
-    np.matmul(d_mu.T, he, out=g["enc_wmu"])
-    d_mu.sum(axis=0, out=g["enc_bmu"])
-    np.matmul(d_var_pre.T, he, out=g["enc_wvar"])
-    d_var_pre.sum(axis=0, out=g["enc_bvar"])
+    np.matmul(w.d_mu_t, he, out=g["enc_wmu"])
+    np.add.reduce(d_mu, 0, out=g["enc_bmu"])
+    np.matmul(w.d_var_t, he, out=g["enc_wvar"])
+    np.add.reduce(d_var, 0, out=g["enc_bvar"])
 
-    d_he_pre = (d_mu @ p["enc_wmu"] + d_var_pre @ p["enc_wvar"]) * (he_pre > 0.0)
-    np.matmul(d_he_pre.T, batch, out=g["enc_w1"])
-    d_he_pre.sum(axis=0, out=g["enc_b1"])
-    return ElboReport(resid, mu, var, sigma2), g
+    d_he_pre = np.matmul(d_mu, p["enc_wmu"], out=w.d_he_pre)
+    d_he_pre += np.matmul(d_var, p["enc_wvar"], out=w.d_he_var)
+    d_he_pre *= np.greater(he_pre, _ZERO, out=w.relu_mask)
+    np.matmul(w.d_he_pre_t, batch, out=g["enc_w1"])
+    np.add.reduce(d_he_pre, 0, out=g["enc_b1"])
+    return ElboReport(resid, mu, var, prior.arch.decoder_variance), g
 
 
 def train_step(
     prior: VaePrior, batch: np.ndarray, step_size: float, rng: np.random.Generator
 ) -> ElboReport:
     """One gradient ascent update of size ``step_size`` on a fresh single-noise bound."""
-    xi = rng.standard_normal((len(batch), prior.arch.latent_dim))
-    report, _ = elbo_gradients(prior, batch, xi)
+    w = _workspace(prior, np.asarray(batch, dtype=float))
+    report, _ = elbo_gradients(prior, batch, rng.standard_normal(out=w.xi))
     if step_size != 0.0:
-        prior.flat += step_size * prior.grad
+        prior.flat += np.multiply(step_size, prior.grad, out=w.step)
     prior.train_steps += 1
     return report
 

@@ -43,16 +43,51 @@ DIGESTS = {
 }
 
 
-def test_sweep_logs_match_recorded_digests(tmp_path):
+# Other VAE shapes: a batch of 7 drawn from a 10-decision buffer, so the
+# first steps of each prior train on a buffer holding fewer than 7. Digests
+# recorded before the training step moved onto per-prior buffers.
+SHAPES_CONFIG = """\
+agent_kinds = single, multi
+total_steps = 6, 10
+selection_steps = 0, 4
+episodes = 300
+replicates = 1
+hidden_dim = 5
+latent_dim = 3
+batch_size = 7
+buffer_size = 10
+workers = 1
+seed = 17
+"""
+
+SHAPES_DIGESTS = {
+    "episodes_multi_t10_a10_r0.csv": "4a90f7103f6f763677435189e1dcca23debbb611967ce0c887367718813c7485",
+    "episodes_multi_t10_a6_r0.csv": "9551b28b5705d16df91d7416d127afbb2bd2faa5cc364ac67e053f035c9b98a6",
+    "episodes_multi_t6_a2_r0.csv": "c4dd6eb2bb88e07940d1a08cf3e9e8962d38fc87cc576f28dfe54227aa2843c0",
+    "episodes_multi_t6_a6_r0.csv": "936fe27259451de06f77e35a9cb00c9731e7bd1cb8f2cbd029e423bb0a2968fc",
+    "episodes_single_t10_a10_r0.csv": "2e70038c9d54e868070dc59d9aea965a2b75a58cf5be1dae26ac3021f501bbad",
+    "episodes_single_t6_a6_r0.csv": "f44289b898b3222d126c5ce2e3c3574dc5bdd8949fc1000277a83c03775aed81",
+    "summary.csv": "f1eb531a33d8b6a5bbaa83ed41c93f979527ca7a2d6ef46a82626c96b0eada31",
+}
+
+
+def _sweep_digests(tmp_path, config):
     cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text(CONFIG)
+    cfgfile.write_text(config)
     out = tmp_path / "run"
     assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
-    digests = {
+    return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.glob("*.csv"))
     }
-    assert digests == DIGESTS
+
+
+def test_sweep_logs_match_recorded_digests(tmp_path):
+    assert _sweep_digests(tmp_path, CONFIG) == DIGESTS
+
+
+def test_other_vae_shapes_match_recorded_digests(tmp_path):
+    assert _sweep_digests(tmp_path, SHAPES_CONFIG) == SHAPES_DIGESTS
 
 
 # frontier.csv of `brdm baseline` at the default config, and with max_iter = 50,

@@ -318,6 +318,45 @@ def test_stacked_sampling_matches_per_prior_decodes(activation, num):
         assert a.random() == b.random()
 
 
+@relu_ids
+def test_bank_rows_train_like_separate_priors(activation):
+    # steps alternate between the two rows of one bank; every result is read
+    # only after the last step, so buffers or views shared across the rows
+    # would show in the grads, the weights or an earlier report
+    arch = VaeArch(hidden_dim=5, latent_dim=3)
+    _, priors = _bank(arch, 2, make_rng(60))
+    refs = [{name: arr.copy() for name, arr in prior.params.items()} for prior in priors]
+    data = make_rng(61)
+    reports, ref_reports, ref_grads = [], [], [None, None]
+    for i in range(200):
+        x = i % 2
+        batch = data.uniform(0.0, 1.0, size=(int(data.integers(1, 12)), 1))
+        a, b = make_rng(3000 + i), make_rng(3000 + i)
+        reports.append(train_step(priors[x], batch, 0.05, a))
+        ref_report, ref_grads[x] = _reference_train_step(refs[x], arch, 0.05, batch, b)
+        ref_reports.append(ref_report)
+    for prior, ref, grads in zip(priors, refs, ref_grads):
+        for name, arr in prior.params.items():
+            assert prior.grads[name].tobytes() == grads[name].tobytes(), name
+            assert arr.tobytes() == ref[name].tobytes(), name
+    assert [(r.reconstruction, r.kl, r.elbo) for r in reports] == ref_reports
+
+
+@pytest.mark.parametrize("shape", [(16,), (1,), (5, 2), (0, 1)])
+def test_batch_of_wrong_shape_is_rejected_before_any_write(shape):
+    prior = init_vae(VaeArch(), make_rng(62))
+    train_step(prior, np.full((4, 1), 0.5), 0.05, make_rng(63))
+    flat, grad = prior.flat.copy(), prior.grad.copy()
+    batch = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match=rf"\({shape[0]},"):
+        elbo_gradients(prior, batch, np.zeros((len(batch), 2)))
+    with pytest.raises(ValueError, match=rf"\({shape[0]},"):
+        train_step(prior, batch, 0.05, make_rng(64))
+    assert prior.flat.tobytes() == flat.tobytes()
+    assert prior.grad.tobytes() == grad.tobytes()
+    assert prior.train_steps == 1
+
+
 def test_param_views_write_through_to_flat_buffers():
     arch = VaeArch(hidden_dim=5, latent_dim=3)
     stack, priors = _bank(arch, 3, make_rng(50))

@@ -5,7 +5,7 @@ Every ``brdm`` call runs in a child process whose ``PYTHONPATH`` is the
 inputs come from this checkout and are the same for both trees:
 
 - the three workload configs of ``bench/workloads.py``, at each seed given;
-- the sweep config of ``tests/test_log_digests.py``, at its own seed;
+- the two sweep configs of ``tests/test_log_digests.py``, at their own seeds;
 - ``brdm run`` and ``brdm baseline`` at their defaults, then
   ``brdm plot --no-render`` on those two outputs;
 - ``brdm baseline`` capped at 50 sweeps, where no point converges and
@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the digest test imports brdm, so this checkout's src goes on the path too
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from test_log_digests import CONFIG as DIGEST_CONFIG  # noqa: E402
+from test_log_digests import CONFIG as DIGEST_CONFIG, SHAPES_CONFIG  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ENTRY = "import sys; from brdm.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -50,6 +50,7 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
     ]
     return runs + [
         ("digest_sweep", "run", DIGEST_CONFIG),
+        ("digest_shapes_sweep", "run", SHAPES_CONFIG),
         ("default_run", "run", None),
         ("default_baseline", "baseline", None),
         ("capped_baseline", "baseline", "max_iter = 50\n"),
