@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,17 +78,16 @@ class SystemConfig:
             raise ValueError("step_size must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """Outcome of one episode; utility gain is utility - seed_utility."""
+class EpisodeRecord(NamedTuple):
+    """One episode's outcome, its fields the log's columns; ``evals`` counts utility calls."""
 
     world: int
-    selected_prior: int
+    prior: int
     seed_action: float
     decision: float
     utility: float
     seed_utility: float
-    utility_evaluations: int
+    evals: int
 
     @property
     def delta_u(self) -> float:
@@ -198,12 +197,12 @@ class DecisionSystem:
         self.multinomial.update(x)
         return EpisodeRecord(
             world=w,
-            selected_prior=x,
+            prior=x,
             seed_action=seed,
             decision=result.decision,
             utility=result.decision_utility,
             seed_utility=result.seed_utility,
-            utility_evaluations=evals,
+            evals=evals,
         )
 
     def train_prior(self, x: int) -> None:
@@ -224,7 +223,7 @@ def train_system(
     for _ in range(num_episodes):
         w = system.draw_world()
         record = system.run_episode(w)
-        system.train_prior(record.selected_prior)
+        system.train_prior(record.prior)
         records.append(record)
     return system, records
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,12 +113,11 @@ class TwoStageSolution:
         return _world_posterior(np.asarray(rho, dtype=float), self.px_given_w, self.px)
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One point of the efficiency frontier traced over beta."""
+class FrontierPoint(NamedTuple):
+    """One frontier point traced over beta; the fields are frontier.csv's columns."""
 
     beta: float
-    mutual_info_bits: float
+    mi_bits: float
     expected_utility: float
     converged: bool = True
 
@@ -451,7 +451,7 @@ def rate_distortion_curve(
         points.append(
             FrontierPoint(
                 beta=beta,
-                mutual_info_bits=mutual_information(world.rho, policy.cond),
+                mi_bits=mutual_information(world.rho, policy.cond),
                 expected_utility=_table_expected_utility(world.rho, policy.cond, table),
                 converged=policy.converged,
             )

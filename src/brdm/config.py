@@ -92,14 +92,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     Every other range is checked where it is used, by the domain types and by
     the solvers' ``check_settings``; their ValueError becomes a ConfigError
-    before any output is written. Every float field must be finite first:
-    NaN passes any range comparison.
+    before any output is written. Each rule rejects NaN and +-inf itself.
     """
-    for key, hint in _HINTS.items():
-        if float in (hint, *get_args(hint)):
-            value = getattr(cfg, key)
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
-                raise ConfigError(f"{key} must be finite, got {_format_value(value)}")
     if not cfg.agent_kinds:
         raise ConfigError("agent_kinds must not be empty")
     for kind in cfg.agent_kinds:

@@ -3,10 +3,13 @@
 The sweep trains one system per (kind, budget split, replicate) cell. Every
 cell derives its RNG from (master seed, cell index), so results do not
 depend on worker count or scheduling. Summary statistics are computed over
-the final ``summary_window`` fraction of each cell's episodes. The summary
-columns are ``SummaryRow``'s fields, written and read by their types. CSV
-output is newline-terminated with 12-significant-digit floats,
-byte-identical across repeated runs of the same config.
+the final ``summary_window`` fraction of each cell's episodes. Each CSV's
+columns are one row type's fields, written and read by their types: an
+episode log's are an index then ``EpisodeRecord``'s, summary.csv's are
+``SummaryRow``'s, frontier.csv's are ``FrontierPoint``'s, without
+``converged`` when every point converged. CSV output is newline-terminated
+with 12-significant-digit floats, byte-identical across repeated runs of
+the same config.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class CsvFormatError(ConfigError):
     """Unreadable or malformed input CSV, a usage error; the message names the file."""
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """One sweep cell; ``index`` seeds the cell's independent RNG stream."""
@@ -69,9 +68,19 @@ class SummaryRow(NamedTuple):
     stddev_delta_u: float
 
 
-SUMMARY_CSV_HEADER = ",".join(SummaryRow._fields)
-_SUMMARY_TYPES = tuple(get_type_hints(SummaryRow).values())
-FRONTIER_CSV_HEADER = "beta,mi_bits,expected_utility"
+def _csv_layout(types: dict[str, type]) -> tuple[str, str]:
+    """Header and ``str.format`` line template: floats in 12 significant digits, bools 0 or 1."""
+    specs = ({float: "{:.12g}", bool: "{:d}"}.get(t, "{}") for t in types.values())
+    return ",".join(types), ",".join(specs) + "\n"
+
+
+_FRONTIER_TYPES = get_type_hints(FrontierPoint)
+SUMMARY_CSV_HEADER, _SUMMARY_LINE = _csv_layout(get_type_hints(SummaryRow))
+EPISODE_CSV_HEADER, _EPISODE_LINE = _csv_layout({"episode": int, **get_type_hints(EpisodeRecord)})
+_FLAGGED_FRONTIER_CSV = _csv_layout(_FRONTIER_TYPES)
+# when every point converged; the three-column template ignores ``converged``
+_FRONTIER_CSV = _csv_layout({k: t for k, t in _FRONTIER_TYPES.items() if k != "converged"})
+FRONTIER_CSV_HEADER = _FRONTIER_CSV[0]
 # Closed ranges of the float columns brdm writes, by column name in either
 # CSV; the task's utility lies in (0, 1], so a utility gain lies in [-1, 1].
 _COLUMN_RANGES = {
@@ -81,7 +90,6 @@ _COLUMN_RANGES = {
     "mean_delta_u": (-1.0, 1.0),
     "stddev_delta_u": (0.0, math.inf),
 }
-EPISODE_CSV_HEADER = "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
 
 
 def build_cells(cfg: ExperimentConfig) -> list[CellSpec]:
@@ -166,22 +174,16 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[
 
 
 def write_episode_csv(records: Sequence[EpisodeRecord], out: IO[str]) -> None:
-    """Episode log export, one line per episode."""
+    """Episode log export, one line per episode: its index, then the record."""
+    line = _EPISODE_LINE.format
     out.write(EPISODE_CSV_HEADER + "\n")
-    for i, r in enumerate(records):
-        out.write(
-            f"{i},{r.world},{r.selected_prior},{_fmt(r.seed_action)},"
-            f"{_fmt(r.decision)},{_fmt(r.utility)},"
-            f"{_fmt(r.seed_utility)},{r.utility_evaluations}\n"
-        )
+    out.writelines(line(i, *r) for i, r in enumerate(records))
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], out: IO[str]) -> None:
-    """One line per row; float fields in 12 significant digits, the rest as str."""
+    """One line per row."""
     out.write(SUMMARY_CSV_HEADER + "\n")
-    for r in rows:
-        cols = (_fmt(v) if t is float else str(v) for t, v in zip(_SUMMARY_TYPES, r))
-        out.write(",".join(cols) + "\n")
+    out.writelines(_SUMMARY_LINE.format(*r) for r in rows)
 
 
 def compute_frontier(cfg: ExperimentConfig) -> list[FrontierPoint]:
@@ -191,25 +193,20 @@ def compute_frontier(cfg: ExperimentConfig) -> list[FrontierPoint]:
 
 def write_frontier_csv(points: Sequence[FrontierPoint], out: IO[str]) -> None:
     """Three columns normally; a ``converged`` column appears only when needed."""
-    flag_column = any(not p.converged for p in points)
-    header = FRONTIER_CSV_HEADER + (",converged" if flag_column else "")
+    header, line = _FRONTIER_CSV if all(p.converged for p in points) else _FLAGGED_FRONTIER_CSV
     out.write(header + "\n")
-    for p in points:
-        row = f"{_fmt(p.beta)},{_fmt(p.mutual_info_bits)},{_fmt(p.expected_utility)}"
-        if flag_column:
-            row += f",{int(p.converged)}"
-        out.write(row + "\n")
+    out.writelines(line.format(*p) for p in points)
 
 
 def read_frontier_csv(path: str | Path) -> list[tuple]:
-    """Rows of (beta, mi_bits, expected_utility[, converged])."""
-    parsers = (float, float, float, _converged)
-    return _read_csv(path, parsers, tuple, FRONTIER_CSV_HEADER, FRONTIER_CSV_HEADER + ",converged")
+    """Tuples of (beta, mi_bits, expected_utility[, converged]), parsed by their annotations."""
+    headers = FRONTIER_CSV_HEADER, _FLAGGED_FRONTIER_CSV[0]
+    return _read_csv(path, _FRONTIER_TYPES.values(), tuple, *headers)
 
 
 def read_summary_csv(path: str | Path) -> list[SummaryRow]:
     """``SummaryRow``s, each field parsed by its annotation, each row a possible sweep cell."""
-    return _read_csv(path, _SUMMARY_TYPES, _summary_row, SUMMARY_CSV_HEADER)
+    return _read_csv(path, get_type_hints(SummaryRow).values(), _summary_row, SUMMARY_CSV_HEADER)
 
 
 def _finite_float(text: str) -> float:
@@ -240,12 +237,12 @@ def _summary_row(fields: list) -> SummaryRow:
     return row
 
 
-def _read_csv(path, parsers, make_row, *headers) -> list:
-    """Rows built by ``make_row`` from parsed fields; the header must be one of ``headers``.
+def _read_csv(path, types, make_row, *headers) -> list:
+    """Rows that ``make_row`` builds from fields parsed by ``types``, under one of ``headers``.
 
-    brdm writes only finite floats, each inside its column's range, and
-    integers as plain decimal digits, so any other field, or a row that
-    ``make_row`` rejects, is malformed.
+    brdm writes only finite floats, each inside its column's range, integers
+    as plain decimal digits and bools as 0 or 1, so any other field, or a
+    row that ``make_row`` rejects, is malformed.
     """
     try:
         lines = Path(path).read_text().splitlines() or [""]
@@ -253,7 +250,7 @@ def _read_csv(path, parsers, make_row, *headers) -> list:
         raise CsvFormatError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
-    parsers = [{float: _finite_float, int: _decimal_int}.get(p, p) for p in parsers]
+    parsers = [{float: _finite_float, int: _decimal_int, bool: _converged}.get(t, t) for t in types]
     if lines[0] not in headers:
         raise CsvFormatError(f"{path}: line 1: unexpected header {lines[0]!r}")
     names = lines[0].split(",")

@@ -151,6 +151,12 @@ def _workspace(prior: VaePrior, batch: np.ndarray) -> _Workspace:
     return work
 
 
+def _check_noise(prior: VaePrior, batch: np.ndarray, xi) -> None:
+    expected = (*batch.shape[:1], prior.arch.latent_dim)
+    if np.shape(xi) != expected:
+        raise ValueError(f"noise xi must have shape {expected}, got {np.shape(xi)}")
+
+
 @dataclass(eq=False)
 class ElboReport:
     """Batch-mean reconstruction term, KL term, and their difference.
@@ -267,8 +273,9 @@ def kl_to_standard_normal(mu: np.ndarray, var: np.ndarray) -> float:
 def elbo_given_noise(
     prior: VaePrior, batch: np.ndarray, xi: np.ndarray
 ) -> ElboReport:
-    """Single-sample bound with the noise draws supplied by the caller."""
+    """Single-sample bound with the noise draws supplied by the caller, one row per batch row."""
     batch = np.asarray(batch, dtype=float)
+    _check_noise(prior, batch, xi)
     _, _, mu, _, var = _encode_batch(prior, batch)
     z = mu + np.sqrt(var) * xi
     _, _, out = _decode_batch(prior, z)
@@ -287,10 +294,11 @@ def elbo_gradients(
     gradients are written into ``prior.grad`` and returned as its named
     views ``prior.grads``, which the next call overwrites, and every other
     batch-sized term except the report's into ``prior.work``. A ``batch``
-    that is not (n, 1) with n >= 1 raises ValueError before any write.
+    not (n, 1), n >= 1, or ``xi`` not (n, latent_dim) raises ValueError first.
     """
     p, g = prior.params, prior.grads
     batch = np.asarray(batch, dtype=float)
+    _check_noise(prior, batch, xi)
     w = _workspace(prior, batch)
 
     he_pre, he, mu, var_pre, var = _encode_batch(prior, batch, w.he_pre, w.he, w.var_pre)

@@ -287,8 +287,8 @@ def test_criterion_7_frontier_dominance(
     frontier, single_ladder_rows, single_equal_action_rows, multi_rows
 ):
     with criterion(7, "every trained agent sits on or below the frontier"):
-        order = np.argsort([p.mutual_info_bits for p in frontier])
-        f_mi = np.array([frontier[i].mutual_info_bits for i in order])
+        order = np.argsort([p.mi_bits for p in frontier])
+        f_mi = np.array([frontier[i].mi_bits for i in order])
         f_eu = np.array([frontier[i].expected_utility for i in order])
         rows = list(single_ladder_rows[0]) + list(single_equal_action_rows) + list(multi_rows)
         assert rows
@@ -341,7 +341,7 @@ def test_criterion_9_prior_specialization(task):
         best = 0.0
         for perm in itertools.permutations(range(3)):
             match = np.mean(
-                [r.selected_prior == perm[BASELINE_PARTITION[r.world]] for r in window]
+                [r.prior == perm[BASELINE_PARTITION[r.world]] for r in window]
             )
             best = max(best, float(match))
         assert best >= 0.9

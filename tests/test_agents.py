@@ -16,7 +16,7 @@ from brdm.agents import (
 )
 from brdm.baseline import expected_utility, mutual_information, solve_single_stage
 from brdm.core import WorldModel, make_rng
-from brdm.experiment import EPISODE_CSV_HEADER, write_episode_csv
+from brdm.experiment import write_episode_csv
 from brdm.mcmc import draw_index
 from brdm.vae import VaeArch, zero_vae
 
@@ -49,7 +49,7 @@ def test_zero_action_steps_returns_seed(gaussian_task):
     record = system.run_episode(2)
     assert record.decision == record.seed_action
     assert record.delta_u == 0.0
-    assert record.utility_evaluations == 1
+    assert record.evals == 1
 
 
 def test_untrained_zero_vae_seeds_at_center(gaussian_task):
@@ -73,8 +73,8 @@ def test_budget_accounting_multi(gaussian_task):
     system = DecisionSystem(world, cfg, make_rng(1))
     record = system.run_episode(3)
     # 3 candidates x 3 samples for the estimates, then seed + 30 proposals
-    assert record.utility_evaluations == 9 + 31
-    assert calls == record.utility_evaluations
+    assert record.evals == 9 + 31
+    assert calls == record.evals
     assert record.utility == world.utility(record.world, record.decision)
 
 
@@ -82,7 +82,7 @@ def test_budget_accounting_skips_estimates_without_selection_steps(gaussian_task
     cfg = SystemConfig(num_priors=3, budget=BudgetSplit(30, 0))
     system = DecisionSystem(gaussian_task, cfg, make_rng(2))
     record = system.run_episode(1)
-    assert record.utility_evaluations == 31
+    assert record.evals == 31
 
 
 def test_train_system_reproducible(gaussian_task):
@@ -90,7 +90,7 @@ def test_train_system_reproducible(gaussian_task):
     _, recs1 = train_system(gaussian_task, cfg, 50, make_rng(7))
     _, recs2 = train_system(gaussian_task, cfg, 50, make_rng(7))
     for a, b in zip(recs1, recs2):
-        assert a.world == b.world and a.selected_prior == b.selected_prior
+        assert a.world == b.world and a.prior == b.prior
         assert a.decision == b.decision
         assert a.utility == b.utility and a.seed_utility == b.seed_utility
 
@@ -208,7 +208,7 @@ def test_episode_csv_format(gaussian_task):
     write_episode_csv(recs, buf)
     text = buf.getvalue()
     lines = text.split("\n")
-    assert lines[0] == EPISODE_CSV_HEADER
+    assert lines[0] == "episode,world,prior,seed_action,decision,utility,seed_utility,evals"
     assert len(lines) == 5 and lines[-1] == ""  # 3 rows + trailing newline
     fields = lines[1].split(",")
     assert fields[0] == "0"
@@ -316,11 +316,11 @@ def test_selection_prefers_matching_prior_after_training(gaussian_task):
     system, recs = train_system(gaussian_task, cfg, 3000, make_rng(0))
     modal = {}
     for r in recs[-300:]:
-        modal.setdefault(r.world, []).append(r.selected_prior)
+        modal.setdefault(r.world, []).append(r.prior)
     modal = {w: max(set(v), key=v.count) for w, v in modal.items()}
     system.rng = make_rng(123)
     hits = 0
     trials = 300
     for _ in range(trials):
-        hits += system.run_episode(0).selected_prior == modal[0]
+        hits += system.run_episode(0).prior == modal[0]
     assert hits / trials >= 0.9

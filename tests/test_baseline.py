@@ -174,20 +174,20 @@ def test_free_energy_nondecreasing_over_iterations_on_2x3():
 def test_frontier_single_beta_zero(gaussian_task):
     points = rate_distortion_curve(gaussian_task, [0.0])
     assert len(points) == 1
-    assert points[0].mutual_info_bits == pytest.approx(0.0, abs=1e-12)
+    assert points[0].mi_bits == pytest.approx(0.0, abs=1e-12)
 
 
 def test_frontier_mi_never_below_zero(gaussian_task):
     # the beta = 0 channel is uniform up to rounding, whose sum fell to -1.6e-16
     points = rate_distortion_curve(gaussian_task, [0.0, 0.3, 5.0, 1e5, 1e6], grid_size=37)
-    assert points[0].mutual_info_bits == 0.0
-    assert all(p.mutual_info_bits >= 0.0 for p in points)
+    assert points[0].mi_bits == 0.0
+    assert all(p.mi_bits >= 0.0 for p in points)
 
 
 def test_frontier_monotone_and_boltzmann_limit(gaussian_task):
     betas = list(np.logspace(-1, 4, 20))
     points = rate_distortion_curve(gaussian_task, betas)
-    mi = [p.mutual_info_bits for p in points]
+    mi = [p.mi_bits for p in points]
     eu = [p.expected_utility for p in points]
     # the smallest betas converge slowly and are flagged at the default
     # iteration cap; their values are still accurate to ~1e-7
@@ -503,7 +503,7 @@ def test_single_stage_and_frontier_match_reference_bit_for_bit(gaussian_task):
             gaussian_task, beta, max_iter=300, init_marginal=warm
         )
         rho = gaussian_task.rho
-        assert point.mutual_info_bits == mutual_information(rho, cond)
+        assert point.mi_bits == mutual_information(rho, cond)
         assert point.expected_utility == float(rho @ (cond * table).sum(axis=1))
         assert point.converged == converged
 

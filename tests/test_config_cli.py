@@ -203,13 +203,13 @@ def test_frontier_csv_flags_only_when_needed(tmp_path):
     out = tmp_path / "frontier.csv"
     with open(out, "w", newline="\n") as fh:
         write_frontier_csv(good, fh)
-    assert out.read_text().splitlines()[0] == FRONTIER_CSV_HEADER
+    assert out.read_text().splitlines()[0] == "beta,mi_bits,expected_utility"
 
     flagged = [FrontierPoint(1.0, 0.5, 0.6), FrontierPoint(2.0, 0.8, 0.7, converged=False)]
     with open(out, "w", newline="\n") as fh:
         write_frontier_csv(flagged, fh)
     lines = out.read_text().splitlines()
-    assert lines[0] == FRONTIER_CSV_HEADER + ",converged"
+    assert lines[0] == "beta,mi_bits,expected_utility,converged"
     assert lines[2].endswith(",0")
     rows = read_frontier_csv(out)
     assert rows[1][3] is False
@@ -535,6 +535,12 @@ REJECTED_VALUES = [
     "alpha_sel = nan",
     "width = inf",
     "means = nan, 0.3, 0.5, 0.7, 0.8, 0.9",
+    "means = 0.1, 0.2, 0.3, 0.4, 0.5, inf",
+    "selection_fraction = nan",
+    "proposal_sigma = inf",
+    "gamma_sel0 = -inf",
+    "decoder_variance = nan",
+    "summary_window = nan",
     "tol = 0",
     "tol = -1",
     "tol = nan",
@@ -652,7 +658,7 @@ def test_the_pinned_sweep_and_frontiers_read_back(tmp_path):
         cfgfile.write_text(config)
         out = tmp_path / f"baseline{index}"
         assert main(["baseline", "--config", str(cfgfile), "--out", str(out)]) == 0
-        assert len(read_frontier_csv(out / "frontier.csv")) == len(ExperimentConfig().betas)
+        assert len(read_frontier_csv(out / "frontier.csv")) == len(load_config(cfgfile).betas)
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -90,16 +90,19 @@ def test_other_vae_shapes_match_recorded_digests(tmp_path):
     assert _sweep_digests(tmp_path, SHAPES_CONFIG) == SHAPES_DIGESTS
 
 
-# frontier.csv of `brdm baseline` at the default config, and with max_iter = 50,
-# where no point converges and the optional `converged` column appears. The
-# solvers sweep in blocks of 1, 2, 4, ... up to 64 at the default grid, so
-# caps of 1, 3, 7, 63 and 127 end a solve at the end of a block, and 64, 65
-# and 129 just after one; at 129 the high betas converge inside a block. At
-# grid_size = 2000 the blocks grow to 4 sweeps, and the cap of 301 leaves
-# both converged and capped points. The digests at caps 1, 3, 7 and 127 were
-# recorded with fixed 64-sweep blocks, before the blocks grew by doubling.
+# frontier.csv of `brdm baseline` at the default config; at betas 30 and 300,
+# where every point converges and the file keeps its three columns; and with
+# max_iter = 50, where no point converges and the optional `converged` column
+# appears. The solvers sweep in blocks of 1, 2, 4, ... up to 64 at the
+# default grid, so caps of 1, 3, 7, 63 and 127 end a solve at the end of a
+# block, and 64, 65 and 129 just after one; at 129 the high betas converge
+# inside a block. At grid_size = 2000 the blocks grow to 4 sweeps, and the cap
+# of 301 leaves both converged and capped points. The digests at caps 1, 3, 7
+# and 127 were recorded with fixed 64-sweep blocks, before the blocks grew by
+# doubling.
 FRONTIER_DIGESTS = {
     "": "a6236ade2585560063f41c6084c6cdb1e3b2caf6c01299b7915daa776d95f058",
+    "betas = 30, 300\n": "205227370cf6241fb92ae064bfed226c98198d21f792366e8bc55568a54ac313",
     "max_iter = 1\n": "82698be91fdcd92d7aa71f7185b75a9fa94ade4db28fcf82ff23aac83b22a20b",
     "max_iter = 3\n": "c438f45d2a2c9a1829b6c4d8a4bf29d3115ddfdb230cac2387e44db0143e14cc",
     "max_iter = 7\n": "393da2ef40fa6ad302a0774fc13f745aaa1542b23dbbb3e598ea967fbf8c0da9",

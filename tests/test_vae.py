@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,6 +356,22 @@ def test_batch_of_wrong_shape_is_rejected_before_any_write(shape):
     assert prior.flat.tobytes() == flat.tobytes()
     assert prior.grad.tobytes() == grad.tobytes()
     assert prior.train_steps == 1
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 3), (5, 2)])
+def test_noise_of_wrong_shape_is_rejected_before_any_write(shape):
+    # a batch of 4 with a 2-d latent takes one (4, 2) draw; fewer rows used to broadcast
+    prior = init_vae(VaeArch(), make_rng(65))
+    batch = np.full((4, 1), 0.5)
+    elbo_gradients(prior, batch, np.zeros((4, 2)))
+    work, grad = prior.work, prior.grad.copy()
+    buffers = [a.tobytes() for a in vars(work).values() if isinstance(a, np.ndarray)]
+    for elbo in (elbo_gradients, elbo_given_noise):
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            elbo(prior, batch, np.zeros(shape))
+    assert prior.grad.tobytes() == grad.tobytes()
+    assert prior.work is work
+    assert [a.tobytes() for a in vars(work).values() if isinstance(a, np.ndarray)] == buffers
 
 
 def test_param_views_write_through_to_flat_buffers():

@@ -6,12 +6,11 @@ inputs come from this checkout and are the same for both trees:
 
 - the three workload configs of ``bench/workloads.py``, at each seed given;
 - the two sweep configs of ``tests/test_log_digests.py``, at their own seeds;
+- ``brdm baseline`` at each ``FRONTIER_DIGESTS`` config of the same test,
+  among them a three-column frontier, sweep caps around the exact solvers'
+  blocks, and a 2000-point grid capped at 301 sweeps;
 - ``brdm run`` and ``brdm baseline`` at their defaults, then
-  ``brdm plot --no-render`` on those two outputs;
-- ``brdm baseline`` capped at 50 sweeps, where no point converges and
-  frontier.csv gains its ``converged`` column; capped at 7 sweeps, the end
-  of the exact solvers' third block (blocks grow 1, 2, 4, ...); and at a
-  2000-point grid, where the solvers check fewer sweeps per block.
+  ``brdm plot --no-render`` on those two outputs.
 
 Run from the repository root, with each tree a directory holding ``src/brdm``:
 
@@ -35,7 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the digest test imports brdm, so this checkout's src goes on the path too
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from test_log_digests import CONFIG as DIGEST_CONFIG, SHAPES_CONFIG  # noqa: E402
+from test_log_digests import CONFIG as DIGEST_CONFIG, FRONTIER_DIGESTS, SHAPES_CONFIG  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ENTRY = "import sys; from brdm.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -48,14 +47,15 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
         for name, workload in WORKLOADS.items()
         for seed in seeds
     ]
+    runs += [
+        (f"digest_baseline{index}", "baseline", config)
+        for index, config in enumerate(FRONTIER_DIGESTS)
+    ]
     return runs + [
         ("digest_sweep", "run", DIGEST_CONFIG),
         ("digest_shapes_sweep", "run", SHAPES_CONFIG),
         ("default_run", "run", None),
         ("default_baseline", "baseline", None),
-        ("capped_baseline", "baseline", "max_iter = 50\n"),
-        ("third_block_baseline", "baseline", "max_iter = 7\n"),
-        ("fine_grid_baseline", "baseline", "grid_size = 2000\n"),
     ]
 
 
