@@ -159,8 +159,8 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
                 setattr(cfg, key, _PARSERS[key](raw))
             except ValueError as exc:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {exc}") from None
-        cfg.betas = tuple(sorted(cfg.betas))
     cfg = replace(cfg, **overrides)
+    cfg.betas = tuple(sorted(cfg.betas))
     validate_config(cfg)
     return cfg
 

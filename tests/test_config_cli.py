@@ -87,6 +87,12 @@ def test_config_parses_values_and_comments(tmp_path):
     assert cfg.betas == (0.5, 1.0, 10.0)  # sorted ascending
 
 
+def test_betas_given_as_an_override_are_sorted_too(tmp_path):
+    cfg = load_config(None, betas=(10.0, 1.0), max_iter=1)
+    assert cfg.betas == (1.0, 10.0)
+    assert [row[0] for row in read_frontier_csv(cmd_baseline(cfg, tmp_path))] == [1.0, 10.0]
+
+
 def test_config_unknown_key_reports_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("episodes = 10\nnot_a_key = 3\n")
@@ -644,21 +650,6 @@ def test_main_run_and_plot_end_to_end(tmp_path):
     assert main(["baseline", "--config", str(cfgfile), "--out", str(out), "--force"]) == 0
     assert main(["plot", "--out", str(out), "--no-render"]) == 0
     assert (out / "plot_figures.py").exists()
-
-
-def test_the_pinned_sweep_and_frontiers_read_back(tmp_path):
-    # the readers accept every summary and frontier the byte-pinned configs write
-    from test_log_digests import CONFIG, FRONTIER_DIGESTS
-
-    cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text(CONFIG)
-    assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "run")]) == 0
-    assert len(read_summary_csv(tmp_path / "run" / "summary.csv")) == 12
-    for index, config in enumerate(FRONTIER_DIGESTS):
-        cfgfile.write_text(config)
-        out = tmp_path / f"baseline{index}"
-        assert main(["baseline", "--config", str(cfgfile), "--out", str(out)]) == 0
-        assert len(read_frontier_csv(out / "frontier.csv")) == len(load_config(cfgfile).betas)
 
 
 def test_seed_override_changes_results(tmp_path):

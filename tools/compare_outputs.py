@@ -5,12 +5,10 @@ Every ``brdm`` call runs in a child process whose ``PYTHONPATH`` is the
 inputs come from this checkout and are the same for both trees:
 
 - the three workload configs of ``bench/workloads.py``, at each seed given;
-- the two sweep configs of ``tests/test_log_digests.py``, at their own seeds;
-- ``brdm baseline`` at each ``FRONTIER_DIGESTS`` config of the same test,
-  among them a three-column frontier, sweep caps around the exact solvers'
-  blocks, and a 2000-point grid capped at 301 sweeps;
-- ``brdm run`` and ``brdm baseline`` at their defaults, then
-  ``brdm plot --no-render`` on those two outputs.
+- every run of ``PINNED`` in ``tests/test_log_digests.py``, the runs whose
+  files that test pins by digest;
+- ``brdm run`` at its defaults, then ``brdm plot --no-render`` on its
+  summary and the frontier of the pinned default ``baseline`` run.
 
 Run from the repository root, with each tree a directory holding ``src/brdm``:
 
@@ -34,10 +32,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # the digest test imports brdm, so this checkout's src goes on the path too
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from test_log_digests import CONFIG as DIGEST_CONFIG, FRONTIER_DIGESTS, SHAPES_CONFIG  # noqa: E402
+from test_log_digests import PINNED  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ENTRY = "import sys; from brdm.cli import main; sys.exit(main(sys.argv[1:]))"
+PINNED_RUNS = [(label, command, config) for label, (command, config, _) in PINNED.items()]
 
 
 def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
@@ -47,16 +46,7 @@ def config_runs(seeds: list[int]) -> list[tuple[str, str, str | None]]:
         for name, workload in WORKLOADS.items()
         for seed in seeds
     ]
-    runs += [
-        (f"digest_baseline{index}", "baseline", config)
-        for index, config in enumerate(FRONTIER_DIGESTS)
-    ]
-    return runs + [
-        ("digest_sweep", "run", DIGEST_CONFIG),
-        ("digest_shapes_sweep", "run", SHAPES_CONFIG),
-        ("default_run", "run", None),
-        ("default_baseline", "baseline", None),
-    ]
+    return runs + PINNED_RUNS + [("default_run", "run", None)]
 
 
 def brdm(tree: Path, *args: str, env: dict[str, str] | None = None) -> None:
@@ -77,20 +67,21 @@ def brdm(tree: Path, *args: str, env: dict[str, str] | None = None) -> None:
         )
 
 
-def write_outputs(tree: Path, out: Path, configs: Path, seeds: list[int]) -> None:
-    """Write every output of ``tree`` under ``out``, one directory per run."""
-    for label, command, config in config_runs(seeds):
+def write_outputs(
+    tree: Path, out: Path, runs: list[tuple[str, str, str | None]], env: dict | None = None
+) -> None:
+    """Run ``brdm`` on the sources of ``tree`` once per run, each into ``out / label``.
+
+    ``runs`` holds (label, subcommand, config text or None) as ``config_runs``
+    gives them; each config is written next to ``out``, as ``label.cfg``.
+    """
+    for label, command, config in runs:
         args = [command, "--out", str(out / label)]
         if config is not None:
-            cfgfile = configs / f"{label}.cfg"
+            cfgfile = out.parent / f"{label}.cfg"
             cfgfile.write_text(config)
             args += ["--config", str(cfgfile)]
-        brdm(tree, *args)
-    brdm(
-        tree, "plot", "--no-render", "--out", str(out / "default_plot"),
-        "--summary", str(out / "default_run" / "summary.csv"),
-        "--frontier", str(out / "default_baseline" / "frontier.csv"),
-    )
+        brdm(tree, *args, env=env)
 
 
 def digests(out: Path) -> dict[str, str]:
@@ -112,11 +103,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     tables = []
     with tempfile.TemporaryDirectory() as tmp:
-        configs = Path(tmp) / "configs"
-        configs.mkdir()
         for index, tree in enumerate((args.old, args.new)):
-            out = Path(tmp) / f"tree{index}"
-            write_outputs(tree.resolve(), out, configs, args.seeds)
+            tree, out = tree.resolve(), Path(tmp) / f"tree{index}"
+            write_outputs(tree, out, config_runs(args.seeds))
+            brdm(
+                tree, "plot", "--no-render", "--out", str(out / "default_plot"),
+                "--summary", str(out / "default_run" / "summary.csv"),
+                "--frontier", str(out / "baseline_defaults" / "frontier.csv"),
+            )
             tables.append(digests(out))
     old, new = tables
     names = sorted(old.keys() | new.keys())
